@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 
 	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
@@ -26,79 +25,58 @@ func hashValue(col int, v table.Value) uint64 {
 	}
 }
 
-// aggAcc folds rows for one AggTerm. Numeric results are kept in float64 so
-// every engine (and the fabric pushdown) reports comparable values.
-type aggAcc struct {
-	term  AggTerm
-	count int64
-	sum   float64
-	min   float64
-	max   float64
-	any   bool
-}
-
-func (a *aggAcc) add(x float64) {
-	a.count++
-	a.sum += x
-	if !a.any || x < a.min {
-		a.min = x
-	}
-	if !a.any || x > a.max {
-		a.max = x
-	}
-	a.any = true
-}
-
-func (a *aggAcc) result() table.Value {
-	switch a.term.Kind {
+// aggResult converts one term's fold state into its output value. Numeric
+// results are float64 so every engine (and the fabric pushdown) reports
+// comparable values; COUNT stays integral, and AVG/MIN/MAX over no rows are
+// F64(0).
+func aggResult(kind expr.AggKind, st vec.AggState) table.Value {
+	switch kind {
 	case expr.Count:
-		return table.I64(a.count)
+		return table.I64(st.Count)
 	case expr.Sum:
-		return table.F64(a.sum)
+		return table.F64(st.Sum)
 	case expr.Avg:
-		if a.count == 0 {
+		if st.Count == 0 {
 			return table.F64(0)
 		}
-		return table.F64(a.sum / float64(a.count))
+		return table.F64(st.Sum / float64(st.Count))
 	case expr.Min:
-		return table.F64(a.min)
+		return table.F64(st.Min)
 	case expr.Max:
-		return table.F64(a.max)
+		return table.F64(st.Max)
 	default:
-		panic(fmt.Sprintf("engine: unknown aggregate kind %d", uint8(a.term.Kind)))
+		panic(fmt.Sprintf("engine: unknown aggregate kind %d", uint8(kind)))
 	}
 }
 
-type groupState struct {
-	key   []table.Value
-	accs  []aggAcc
-	count int64
+// aggResults converts ungrouped fold states into their output values.
+func aggResults(terms []AggTerm, states []vec.AggState) []table.Value {
+	out := make([]table.Value, len(terms))
+	for i, st := range states {
+		out[i] = aggResult(terms[i].Kind, st)
+	}
+	return out
 }
 
 // consumer folds qualifying rows into the query's output shape and charges
 // consumption CPU cycles to the engine's compute counter.
 type consumer struct {
 	q       Query
-	schema  *geometry.Schema
 	compute *uint64
 
 	rowsPassed int64
 	checksum   uint64
-	accs       []aggAcc
-	groups     map[string]*groupState
-	keyBuf     []byte
+	aggs       []vec.AggState // ungrouped aggregation
+	groups     *groupTable
+	keyVals    []table.Value // the current row's group key
 }
 
 func newConsumer(q Query, schema *geometry.Schema, compute *uint64) *consumer {
-	c := &consumer{q: q, schema: schema, compute: compute}
-	if len(q.Aggregates) > 0 && len(q.GroupBy) == 0 {
-		c.accs = make([]aggAcc, len(q.Aggregates))
-		for i := range c.accs {
-			c.accs[i].term = q.Aggregates[i]
-		}
-	}
-	if len(q.GroupBy) > 0 {
-		c.groups = make(map[string]*groupState)
+	c := &consumer{q: q, compute: compute, groups: newQueryGroups(q, schema)}
+	if c.groups != nil {
+		c.keyVals = make([]table.Value, len(q.GroupBy))
+	} else if len(q.Aggregates) > 0 {
+		c.aggs = make([]vec.AggState, len(q.Aggregates))
 	}
 	return c
 }
@@ -116,66 +94,26 @@ func (c *consumer) consumeRow(fetch func(col int) table.Value) {
 		return
 	}
 
-	var accs []aggAcc
-	if c.groups == nil {
-		accs = c.accs
-	} else {
-		c.keyBuf = c.keyBuf[:0]
-		keyVals := make([]table.Value, len(c.q.GroupBy))
+	states := c.aggs
+	if c.groups != nil {
 		for i, col := range c.q.GroupBy {
-			v := fetch(col)
-			keyVals[i] = v
-			c.keyBuf = appendKey(c.keyBuf, v)
+			c.keyVals[i] = fetch(col)
 		}
 		*c.compute += HashGroupCycles
-		g, ok := c.groups[string(c.keyBuf)]
-		if !ok {
-			g = &groupState{key: keyVals, accs: make([]aggAcc, len(c.q.Aggregates))}
-			for i := range g.accs {
-				g.accs[i].term = c.q.Aggregates[i]
-			}
-			c.groups[string(c.keyBuf)] = g
-		}
-		g.count++
-		accs = g.accs
+		gid := c.groups.lookup(c.keyVals)
+		c.groups.counts[gid]++
+		states = c.groups.aggs(gid)
 	}
 
-	for i := range accs {
-		t := &accs[i]
+	for i, t := range c.q.Aggregates {
 		*c.compute += AggAddCycles
-		if t.term.Arg == nil {
-			t.count++
+		if t.Arg == nil {
+			states[i].AddCount(1)
 			continue
 		}
-		*c.compute += uint64(t.term.Arg.Ops() * ScalarOpCycles)
-		t.add(t.term.Arg.EvalF(fetch))
+		*c.compute += uint64(t.Arg.Ops() * ScalarOpCycles)
+		states[i].Add(t.Arg.EvalF(fetch))
 	}
-}
-
-func appendKey(dst []byte, v table.Value) []byte {
-	switch v.Type {
-	case geometry.Float64:
-		bits := math.Float64bits(v.Float)
-		for i := 0; i < 8; i++ {
-			dst = append(dst, byte(bits>>(8*uint(i))))
-		}
-	case geometry.Char:
-		// Trim trailing NUL padding only — embedded NULs are significant,
-		// matching table.Value equality semantics.
-		b := v.Bytes
-		end := len(b)
-		for end > 0 && b[end-1] == 0 {
-			end--
-		}
-		dst = append(dst, b[:end]...)
-		dst = append(dst, 0xff) // separator
-	default:
-		u := uint64(v.Int)
-		for i := 0; i < 8; i++ {
-			dst = append(dst, byte(u>>(8*uint(i))))
-		}
-	}
-	return dst
 }
 
 // finish assembles the result shape (without the cost breakdown).
@@ -186,21 +124,11 @@ func (c *consumer) finish(engineName string, rowsScanned int64) *Result {
 		RowsPassed:  c.rowsPassed,
 		Checksum:    c.checksum,
 	}
-	if c.accs != nil {
-		r.Aggs = make([]table.Value, len(c.accs))
-		for i := range c.accs {
-			r.Aggs[i] = c.accs[i].result()
-		}
+	if c.aggs != nil {
+		r.Aggs = aggResults(c.q.Aggregates, c.aggs)
 	}
 	if c.groups != nil {
-		for _, g := range c.groups {
-			row := GroupRow{Key: g.key, Count: g.count, Aggs: make([]table.Value, len(g.accs))}
-			for i := range g.accs {
-				row.Aggs[i] = g.accs[i].result()
-			}
-			r.Groups = append(r.Groups, row)
-		}
-		sortGroups(r.Groups)
+		r.Groups = c.groups.rows(c.q.Aggregates)
 	}
 	return r
 }

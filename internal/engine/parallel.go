@@ -9,8 +9,10 @@ import (
 	"sync/atomic"
 
 	"rfabric/internal/expr"
+	"rfabric/internal/geometry"
 	"rfabric/internal/obs"
 	"rfabric/internal/table"
+	"rfabric/internal/vec"
 )
 
 // DefaultMorselRows is the morsel size when ParallelConfig leaves it zero:
@@ -222,22 +224,17 @@ func (e *ParallelEngine) runMorsel(q Query, i, morselRows, totalRows int, tr *ob
 
 // mergePartials folds per-morsel results in morsel order. Row counts and
 // the checksum add commutatively; scalar and per-group aggregates fold
-// through partialAgg (AVG merges weighted by contributing rows); groups
-// hash-merge and re-sort. The modeled time is the makespan of scheduling
-// the morsels on `workers` executors plus a per-partial merge charge.
+// through mergeAgg (AVG merges weighted by contributing rows); groups merge
+// through a group table and re-sort. The modeled time is the makespan of
+// scheduling the morsels on `workers` executors plus a per-partial merge
+// charge.
 func mergePartials(name string, q Query, parts []*Result, workers int) (*Result, error) {
 	out := &Result{Engine: name}
-	scalarAggs := len(q.Aggregates) > 0 && len(q.GroupBy) == 0
-	var merged []*partialAgg
-	if scalarAggs {
-		merged = newPartialAggs(q)
+	var merged []vec.AggState
+	if len(q.Aggregates) > 0 && len(q.GroupBy) == 0 {
+		merged = make([]vec.AggState, len(q.Aggregates))
 	}
-	type groupAcc struct {
-		key   []table.Value
-		count int64
-		aggs  []*partialAgg
-	}
-	groups := map[string]*groupAcc{}
+	var groups *groupTable
 
 	partTotals := make([]uint64, len(parts))
 	for i, p := range parts {
@@ -255,124 +252,75 @@ func mergePartials(name string, q Query, parts []*Result, workers int) (*Result,
 		out.Breakdown.BytesToCPU += b.BytesToCPU
 		out.Breakdown.PipelineCycles += b.PipelineCycles
 		partTotals[i] = b.TotalCycles
-		if scalarAggs {
+		if merged != nil {
 			for j, v := range p.Aggs {
-				merged[j].fold(v, p.RowsPassed)
+				mergeAgg(&merged[j], q.Aggregates[j].Kind, v, p.RowsPassed)
 			}
 		}
 		for _, g := range p.Groups {
-			k := string(groupMergeKey(g.Key))
-			acc, ok := groups[k]
-			if !ok {
-				acc = &groupAcc{key: g.Key, aggs: newPartialAggs(q)}
-				groups[k] = acc
+			if groups == nil {
+				groups = newGroupTable(keyColumns(g.Key), len(q.Aggregates))
 			}
-			acc.count += g.Count
+			gid := groups.lookup(g.Key)
+			groups.counts[gid] += g.Count
+			states := groups.aggs(gid)
 			for j, v := range g.Aggs {
-				acc.aggs[j].fold(v, g.Count)
+				mergeAgg(&states[j], q.Aggregates[j].Kind, v, g.Count)
 			}
 		}
 	}
 	out.Breakdown.TotalCycles = ScheduleCycles(partTotals, workers) +
 		uint64(len(parts))*MergeCyclesPerPartial
 
-	if scalarAggs {
-		out.Aggs = make([]table.Value, len(merged))
-		for i, m := range merged {
-			out.Aggs[i] = m.result()
-		}
+	if merged != nil {
+		out.Aggs = aggResults(q.Aggregates, merged)
 	}
-	if len(groups) > 0 {
-		for _, acc := range groups {
-			row := GroupRow{Key: acc.key, Count: acc.count, Aggs: make([]table.Value, len(acc.aggs))}
-			for i, m := range acc.aggs {
-				row.Aggs[i] = m.result()
-			}
-			out.Groups = append(out.Groups, row)
-		}
-		sortGroups(out.Groups)
+	if groups != nil {
+		out.Groups = groups.rows(q.Aggregates)
 	}
 	return out, nil
 }
 
-// groupMergeKey serializes a group key for hash-merging partials.
-func groupMergeKey(vals []table.Value) []byte {
-	var buf []byte
-	for _, v := range vals {
-		buf = appendKey(buf, v)
+// keyColumns describes a partial's group key as key columns: each value's
+// type, and its byte length as the CHAR width.
+func keyColumns(key []table.Value) []geometry.Column {
+	cols := make([]geometry.Column, len(key))
+	for i, v := range key {
+		cols[i] = geometry.Column{Type: v.Type, Width: len(v.Bytes)}
 	}
-	return buf
+	return cols
 }
 
-// partialAgg folds per-partial final aggregate values. Engine partials
-// follow the aggAcc convention: COUNT is integral, everything else is
-// float64; MIN/MAX/AVG over zero rows are F64(0), so zero-row partials must
-// be skipped (MIN/MAX) or weighted zero (AVG) rather than folded.
-type partialAgg struct {
-	kind expr.AggKind
-	sumI int64
-	sumF float64
-	n    int64 // AVG weight: rows that contributed
-	minV float64
-	maxV float64
-	any  bool
-}
-
-func newPartialAggs(q Query) []*partialAgg {
-	out := make([]*partialAgg, len(q.Aggregates))
-	for i, a := range q.Aggregates {
-		out[i] = &partialAgg{kind: a.Kind}
-	}
-	return out
-}
-
-// fold merges one partial value; rows is how many rows contributed to it.
-func (m *partialAgg) fold(v table.Value, rows int64) {
-	switch m.kind {
+// mergeAgg folds one partial's final aggregate value into st; rows is how
+// many rows contributed to it. Partials follow aggResult's conventions:
+// COUNT is integral, everything else float64, and MIN/MAX/AVG over zero
+// rows are F64(0) — so zero-row partials are skipped (MIN/MAX) or weighted
+// zero (AVG) rather than folded. aggResult then reads the merged state.
+func mergeAgg(st *vec.AggState, kind expr.AggKind, v table.Value, rows int64) {
+	switch kind {
 	case expr.Count:
-		m.sumI += v.Int
+		st.Count += v.Int
 	case expr.Sum:
-		m.sumF += v.Float
+		st.Sum += v.Float
 	case expr.Avg:
-		m.sumF += v.Float * float64(rows)
-		m.n += rows
+		st.Sum += v.Float * float64(rows)
+		st.Count += rows
 	case expr.Min:
 		if rows == 0 {
 			return
 		}
-		if !m.any || v.Float < m.minV {
-			m.minV = v.Float
+		if !st.Any || v.Float < st.Min {
+			st.Min = v.Float
 		}
-		m.any = true
+		st.Any = true
 	case expr.Max:
 		if rows == 0 {
 			return
 		}
-		if !m.any || v.Float > m.maxV {
-			m.maxV = v.Float
+		if !st.Any || v.Float > st.Max {
+			st.Max = v.Float
 		}
-		m.any = true
-	}
-}
-
-// result matches aggAcc.result's conventions, including the zero-row cases.
-func (m *partialAgg) result() table.Value {
-	switch m.kind {
-	case expr.Count:
-		return table.I64(m.sumI)
-	case expr.Sum:
-		return table.F64(m.sumF)
-	case expr.Avg:
-		if m.n == 0 {
-			return table.F64(0)
-		}
-		return table.F64(m.sumF / float64(m.n))
-	case expr.Min:
-		return table.F64(m.minV)
-	case expr.Max:
-		return table.F64(m.maxV)
-	default:
-		return table.Value{}
+		st.Any = true
 	}
 }
 

@@ -34,10 +34,7 @@ func (s *scan) runVec(q Query) (*Result, error) {
 		snapTS = *q.Snapshot
 	}
 
-	var aggs []vec.AggState
-	if len(prog.aggs) > 0 {
-		aggs = make([]vec.AggState, len(prog.aggs))
-	}
+	aggs, groups := newVecFold(q, s.sch)
 	var checksum uint64
 	var passed, scanned int64
 	var pipeline, producer uint64
@@ -111,7 +108,7 @@ func (s *scan) runVec(q Query) (*Result, error) {
 			}
 
 			passed += int64(len(sel))
-			sc.consume(prog, seg.data, byteBase, seg.stride, sel, &checksum, aggs)
+			sc.consume(prog, seg.data, byteBase, seg.stride, sel, &checksum, aggs, groups)
 		}
 
 		if s.pipelined {
@@ -126,8 +123,20 @@ func (s *scan) runVec(q Query) (*Result, error) {
 		}
 	}
 
-	res := assembleVecResult(s.name, q, aggs, scanned, passed, checksum)
+	res := assembleVecResult(s.name, q, aggs, groups, scanned, passed, checksum)
 	return s.finishRun(pr, res, pipeline, producer)
+}
+
+// newVecFold allocates one execution's fold target: ungrouped aggregate
+// states, or a fresh group table (never kept past the execution).
+func newVecFold(q Query, sch *geometry.Schema) ([]vec.AggState, *groupTable) {
+	if groups := newQueryGroups(q, sch); groups != nil {
+		return nil, groups
+	}
+	if len(q.Aggregates) > 0 {
+		return make([]vec.AggState, len(q.Aggregates)), nil
+	}
+	return nil, nil
 }
 
 // colVecLayout is the decomposed-layout batch driver's view of the column
@@ -217,10 +226,7 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 	// saw no CPU predicates) is the consumed columns in declared order.
 	loads := prog.loadSlots[len(prog.preds)]
 	passCharge := prog.charge[len(prog.preds)]
-	var aggs []vec.AggState
-	if len(prog.aggs) > 0 {
-		aggs = make([]vec.AggState, len(prog.aggs))
-	}
+	aggs, groups := newVecFold(q, sch)
 	var checksum uint64
 	var passed int64
 
@@ -263,7 +269,15 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 				}
 			}
 		} else {
-			sc.foldAggs(prog, idsel, aggs, func(si int32, dst []float64, s2 []int32) {
+			var gids []int32
+			if groups != nil {
+				// Numeric keys sit in the compacted lanes; CHAR keys are
+				// read in place from their dense column at the row ids.
+				gids = sc.group(prog, groups, idsel, group, func(sl *vecSlot) ([]byte, int, int) {
+					return store.ColumnData(sl.col), 0, sl.width
+				})
+			}
+			sc.foldAggs(prog, idsel, aggs, groups, gids, func(si int32, dst []float64, s2 []int32) {
 				sl := &prog.slots[si]
 				if sl.kind == slotF64 {
 					vec.CompactLaneF64(dst, sc.f64[sl.lane], s2)
@@ -297,7 +311,7 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 		}
 	}
 
-	res := assembleVecResult(s.name, q, aggs, int64(rows), passed, checksum)
+	res := assembleVecResult(s.name, q, aggs, groups, int64(rows), passed, checksum)
 	return s.finishRun(pr, res, 0, 0)
 }
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"rfabric/internal/table"
@@ -145,18 +144,4 @@ func (r *Result) String() string {
 		fmt.Fprintf(&b, " groups=%d", len(r.Groups))
 	}
 	return b.String()
-}
-
-// sortGroups orders grouped output by key bytes so every engine emits the
-// same order.
-func sortGroups(groups []GroupRow) {
-	sort.Slice(groups, func(i, j int) bool {
-		a, b := groups[i].Key, groups[j].Key
-		for k := range a {
-			if c := a[k].Compare(b[k]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
 }

@@ -6,6 +6,7 @@ import (
 	"rfabric/internal/geometry"
 	"rfabric/internal/obs"
 	"rfabric/internal/table"
+	"rfabric/internal/vec"
 )
 
 // A Source is an access path: it knows where a query's bytes live and what
@@ -240,19 +241,12 @@ func runOffload(sys *System, tracer *obs.Tracer, sp *obs.Span, name string, q Qu
 		for i, g := range or.Groups {
 			row := GroupRow{Key: g.Key, Count: g.Rows, Aggs: make([]table.Value, len(g.Accs))}
 			for j, st := range g.Accs {
-				acc := aggAcc{
-					term:  q.Aggregates[j],
-					count: st.Count,
-					sum:   st.Sum,
-					min:   st.Min,
-					max:   st.Max,
-					any:   st.Any,
-				}
-				row.Aggs[j] = acc.result()
+				row.Aggs[j] = aggResult(q.Aggregates[j].Kind,
+					vec.AggState{Count: st.Count, Sum: st.Sum, Min: st.Min, Max: st.Max, Any: st.Any})
 			}
 			res.Groups[i] = row
 		}
-		sortGroups(res.Groups)
+		SortGroups(res.Groups)
 	}
 	sp.SetAttr("offload", off.Describe())
 	res.Breakdown = pipelineBreakdown(sys, memStart, hierStart, 0, or.ProducerCycles, or.ProducerCycles, uint64(or.ResultBytes))

@@ -3,7 +3,6 @@ package engine
 import (
 	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
-	"rfabric/internal/table"
 	"rfabric/internal/vec"
 )
 
@@ -90,10 +89,11 @@ type scanProg struct {
 
 	// Consumption shape: projCols/projSlot enumerate projection entries
 	// (duplicates included — each entry is charged and folded); aggs hold
-	// aggregate terms.
-	projCols []int
-	projSlot []int32
-	aggs     []vecAgg
+	// aggregate terms; groupSlots are the GROUP BY key columns, in order.
+	projCols   []int
+	projSlot   []int32
+	aggs       []vecAgg
+	groupSlots []int32
 
 	nI64, nF64 int // lane counts by type
 	evalDepth  int // scratch lanes needed by derived scalar evaluation
@@ -105,12 +105,9 @@ type scanProg struct {
 // consumeVisit, when non-nil, overrides the pass outcome's column visit
 // order (the COL engine explicitly touches every consumed column before
 // consuming; ROW and RM touch lazily in consumption order). ok is false
-// when the query shape must stay on the scalar path (group-by, or a scalar
-// expression form the lane evaluator does not know).
+// when the query shape must stay on the scalar path (a scalar expression
+// form the lane evaluator does not know).
 func compileScanProg(q Query, sch *geometry.Schema, sel expr.Conjunction, consumeVisit []int, offFor func(col int) int, ch vecCharges) (*scanProg, bool) {
-	if len(q.GroupBy) > 0 {
-		return nil, false
-	}
 	p := &scanProg{perRow: ch.perRow}
 
 	slotOf := make(map[int]int, sch.NumColumns())
@@ -193,6 +190,15 @@ func compileScanProg(q Query, sch *geometry.Schema, sel expr.Conjunction, consum
 			consumeCharge += ChecksumCycles
 		}
 	} else {
+		// Grouped rows touch their key columns first, then pay the hash
+		// probe, exactly like the scalar consumer.
+		for _, col := range q.GroupBy {
+			touch(col)
+			p.groupSlots = append(p.groupSlots, int32(slotOf[col]))
+		}
+		if len(q.GroupBy) > 0 {
+			consumeCharge += HashGroupCycles
+		}
 		for _, t := range q.Aggregates {
 			a := vecAgg{term: t, simple: -1}
 			consumeCharge += AggAddCycles
@@ -259,6 +265,10 @@ type scanScratch struct {
 	fail []int16
 	vis  []bool
 	iota []int32 // identity selection for compacted kernels
+
+	hash []uint64      // group-key hashes of the batch's survivors
+	gids []int32       // group ids of the batch's survivors
+	keys []groupKeySrc // group-key columns of the current batch
 }
 
 // ensure grows the scratch to fit prog.
@@ -282,6 +292,10 @@ func (s *scanScratch) ensure(p *scanProg) {
 		for i := range s.iota {
 			s.iota[i] = int32(i)
 		}
+	}
+	if p.groupSlots != nil && s.hash == nil {
+		s.hash = make([]uint64, vecBatchRows)
+		s.gids = make([]int32, vecBatchRows)
 	}
 }
 
@@ -332,9 +346,9 @@ func (s *scanScratch) refine(p *scanProg, src []byte, base, stride, n int, sel [
 }
 
 // consume folds the surviving selection of one decoded batch into the
-// query's output: projection checksums or aggregate states. CHAR columns
-// are hashed in place from src.
-func (s *scanScratch) consume(p *scanProg, src []byte, base, stride int, sel []int32, checksum *uint64, aggs []vec.AggState) {
+// query's output: projection checksums, aggregate states, or per-group
+// states. CHAR columns are hashed and grouped in place from src.
+func (s *scanScratch) consume(p *scanProg, src []byte, base, stride int, sel []int32, checksum *uint64, aggs []vec.AggState, groups *groupTable) {
 	if len(sel) == 0 {
 		return
 	}
@@ -353,7 +367,13 @@ func (s *scanScratch) consume(p *scanProg, src []byte, base, stride int, sel []i
 		}
 		return
 	}
-	s.foldAggs(p, sel, aggs, func(si int32, dst []float64, sel []int32) {
+	var gids []int32
+	if groups != nil {
+		gids = s.group(p, groups, sel, sel, func(sl *vecSlot) ([]byte, int, int) {
+			return src, base + int(sl.off), stride
+		})
+	}
+	s.foldAggs(p, sel, aggs, groups, gids, func(si int32, dst []float64, sel []int32) {
 		sl := &p.slots[si]
 		if sl.kind == slotF64 {
 			vec.CompactLaneF64(dst, s.laneF64(p, si), sel)
@@ -363,28 +383,70 @@ func (s *scanScratch) consume(p *scanProg, src []byte, base, stride int, sel []i
 	})
 }
 
-// foldAggs folds sel into the aggregate states. compact widens one slot's
-// selected lanes into a compacted float vector (layout-specific for COL).
-func (s *scanScratch) foldAggs(p *scanProg, sel []int32, aggs []vec.AggState, compact func(si int32, dst []float64, sel []int32)) {
+// group maps the batch's survivors to group ids and counts them: numeric
+// keys come from the decoded lanes at sel, CHAR keys in place at rows, in
+// the layout charAt gives for the slot (buffer, byte offset of row 0,
+// stride).
+func (s *scanScratch) group(p *scanProg, groups *groupTable, sel, rows []int32, charAt func(sl *vecSlot) ([]byte, int, int)) []int32 {
+	keys := s.keys[:0]
+	for _, si := range p.groupSlots {
+		sl := &p.slots[si]
+		var k groupKeySrc
+		switch sl.kind {
+		case slotF64:
+			k.f64 = s.f64[sl.lane]
+		case slotChar:
+			k.src, k.off, k.stride = charAt(sl)
+		default:
+			k.i64 = s.i64[sl.lane]
+		}
+		keys = append(keys, k)
+	}
+	s.keys = keys
+	gids := s.gids[:len(sel)]
+	groups.lookupBatch(keys, sel, rows, s.hash, gids)
+	for _, gid := range gids {
+		groups.counts[gid]++
+	}
+	return gids
+}
+
+// foldAggs folds sel into the aggregate states: aggs when ungrouped, else
+// row j's group gids[j] of groups. compact widens one slot's selected lanes
+// into a compacted float vector (layout-specific for COL).
+func (s *scanScratch) foldAggs(p *scanProg, sel []int32, aggs []vec.AggState, groups *groupTable, gids []int32, compact func(si int32, dst []float64, sel []int32)) {
 	for ti := range p.aggs {
 		a := &p.aggs[ti]
-		st := &aggs[ti]
-		if a.term.Arg == nil {
-			st.AddCount(int64(len(sel)))
-			continue
+		var out []float64
+		if a.term.Arg != nil && a.simple < 0 {
+			out = s.out[:len(sel)]
+			s.evalScalar(p, a.term.Arg, out, sel, 0, compact)
 		}
-		if a.simple >= 0 {
-			si := int32(a.simple)
-			if p.slots[si].kind == slotF64 {
-				vec.AddF64(st, s.laneF64(p, si), sel)
-			} else {
-				vec.AddI64(st, s.laneI64(p, si), sel)
+		if groups != nil {
+			states, n := groups.states, groups.naggs
+			switch {
+			case a.term.Arg == nil:
+				vec.GroupAddCount(states, n, ti, gids)
+			case out != nil:
+				vec.GroupAddVals(states, n, ti, gids, out)
+			case p.slots[a.simple].kind == slotF64:
+				vec.GroupAddF64(states, n, ti, gids, s.laneF64(p, int32(a.simple)), sel)
+			default:
+				vec.GroupAddI64(states, n, ti, gids, s.laneI64(p, int32(a.simple)), sel)
 			}
 			continue
 		}
-		out := s.out[:len(sel)]
-		s.evalScalar(p, a.term.Arg, out, sel, 0, compact)
-		vec.AddVals(st, out)
+		st := &aggs[ti]
+		switch {
+		case a.term.Arg == nil:
+			st.AddCount(int64(len(sel)))
+		case out != nil:
+			vec.AddVals(st, out)
+		case p.slots[a.simple].kind == slotF64:
+			vec.AddF64(st, s.laneF64(p, int32(a.simple)), sel)
+		default:
+			vec.AddI64(st, s.laneI64(p, int32(a.simple)), sel)
+		}
 	}
 }
 
@@ -423,17 +485,14 @@ func (p *scanProg) slotIndex(col int) int32 {
 	panic("engine: vectorized scan references an uncompiled column")
 }
 
-// assembleVecResult builds the Result the scalar consumer would have built
-// for a non-grouped query.
-func assembleVecResult(name string, q Query, aggs []vec.AggState, scanned, passed int64, checksum uint64) *Result {
+// assembleVecResult builds the Result the scalar consumer would have built.
+func assembleVecResult(name string, q Query, aggs []vec.AggState, groups *groupTable, scanned, passed int64, checksum uint64) *Result {
 	r := &Result{Engine: name, RowsScanned: scanned, RowsPassed: passed, Checksum: checksum}
-	if len(q.Aggregates) > 0 {
-		r.Aggs = make([]table.Value, len(q.Aggregates))
-		for i := range aggs {
-			acc := aggAcc{term: q.Aggregates[i], count: aggs[i].Count, sum: aggs[i].Sum,
-				min: aggs[i].Min, max: aggs[i].Max, any: aggs[i].Any}
-			r.Aggs[i] = acc.result()
-		}
+	if aggs != nil {
+		r.Aggs = aggResults(q.Aggregates, aggs)
+	}
+	if groups != nil {
+		r.Groups = groups.rows(q.Aggregates)
 	}
 	return r
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -33,7 +34,13 @@ type vecFixture struct {
 func buildVecFixture(t *testing.T, seed int64, mvcc bool, rows int, wantStore bool) *vecFixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	sch := genSchema(rng)
+	return buildVecFixtureWith(t, rng, genSchema(rng), genValue, mvcc, rows, wantStore)
+}
+
+// buildVecFixtureWith builds a fixture over sch whose values (and MVCC
+// versions) are drawn from rng through gen.
+func buildVecFixtureWith(t *testing.T, rng *rand.Rand, sch *geometry.Schema, gen func(*rand.Rand, geometry.Column) table.Value, mvcc bool, rows int, wantStore bool) *vecFixture {
+	t.Helper()
 	sys := MustSystem(DefaultSystemConfig())
 	stride := sch.RowBytes()
 	if mvcc {
@@ -51,7 +58,7 @@ func buildVecFixture(t *testing.T, seed int64, mvcc bool, rows int, wantStore bo
 	for r := 0; r < rows; r++ {
 		vals := make([]table.Value, sch.NumColumns())
 		for c := range vals {
-			vals[c] = genValue(rng, sch.Column(c))
+			vals[c] = gen(rng, sch.Column(c))
 		}
 		begin := uint64(1 + rng.Intn(3))
 		idx := tbl.MustAppend(begin, vals...)
@@ -92,11 +99,12 @@ func requireExactMatch(t *testing.T, name string, scalar, vector *Result, scalar
 		fail("Aggs len %d != %d", len(scalar.Aggs), len(vector.Aggs))
 	}
 	for i := range scalar.Aggs {
-		a, b := scalar.Aggs[i], vector.Aggs[i]
-		if a.Type != b.Type || a.Int != b.Int ||
-			math.Float64bits(a.Float) != math.Float64bits(b.Float) {
-			fail("Aggs[%d] %+v != %+v", i, a, b)
+		if !sameValueBits(scalar.Aggs[i], vector.Aggs[i]) {
+			fail("Aggs[%d] %+v != %+v", i, scalar.Aggs[i], vector.Aggs[i])
 		}
+	}
+	if err := sameGroups(scalar.Groups, vector.Groups); err != nil {
+		fail("%v", err)
 	}
 	if scalar.Breakdown != vector.Breakdown {
 		fail("Breakdown\nscalar: %+v\nvector: %+v", scalar.Breakdown, vector.Breakdown)
@@ -104,6 +112,42 @@ func requireExactMatch(t *testing.T, name string, scalar, vector *Result, scalar
 	if s, v := scalarSys.Hier.Stats(), vectorSys.Hier.Stats(); s != v {
 		fail("hierarchy stats\nscalar: %+v\nvector: %+v", s, v)
 	}
+}
+
+// sameGroups requires two grouped outputs to agree exactly: group count
+// and order, every key, every count, and every aggregate's bits.
+func sameGroups(x, y []GroupRow) error {
+	if len(x) != len(y) {
+		return fmt.Errorf("Groups len %d != %d", len(x), len(y))
+	}
+	for g := range x {
+		a, b := x[g], y[g]
+		if a.Count != b.Count {
+			return fmt.Errorf("Groups[%d] Count %d != %d", g, a.Count, b.Count)
+		}
+		if len(a.Key) != len(b.Key) || len(a.Aggs) != len(b.Aggs) {
+			return fmt.Errorf("Groups[%d] shape %d/%d keys, %d/%d aggs", g, len(a.Key), len(b.Key), len(a.Aggs), len(b.Aggs))
+		}
+		for i := range a.Key {
+			if !sameValueBits(a.Key[i], b.Key[i]) {
+				return fmt.Errorf("Groups[%d] Key[%d] %+v != %+v", g, i, a.Key[i], b.Key[i])
+			}
+		}
+		for i := range a.Aggs {
+			if !sameValueBits(a.Aggs[i], b.Aggs[i]) {
+				return fmt.Errorf("Groups[%d] Aggs[%d] %+v != %+v", g, i, a.Aggs[i], b.Aggs[i])
+			}
+		}
+	}
+	return nil
+}
+
+// sameValueBits reports whether two values are identical down to type,
+// integer payload, float bits, and CHAR bytes (padding included).
+func sameValueBits(a, b table.Value) bool {
+	return a.Type == b.Type && a.Int == b.Int &&
+		math.Float64bits(a.Float) == math.Float64bits(b.Float) &&
+		bytes.Equal(a.Bytes, b.Bytes)
 }
 
 // TestVectorizedMatchesScalarExactly is the charge-replay property test: for
@@ -146,11 +190,22 @@ func vectorizedTrial(t *testing.T, rng *rand.Rand, mvcc bool) {
 		t.Fatalf("generated query invalid: %v", err)
 	}
 
-	type variant struct {
-		name  string
-		build func(fx *vecFixture, forceScalar bool) Executor
-	}
-	variants := []variant{
+	requireVariantsMatch(t, q, mvcc, func(wantStore bool) *vecFixture {
+		return buildVecFixture(t, seed, mvcc, rows, wantStore)
+	})
+}
+
+// vecVariant is one engine configuration the scalar/vectorized property
+// tests run both ways.
+type vecVariant struct {
+	name  string
+	build func(fx *vecFixture, forceScalar bool) Executor
+}
+
+// vecVariants lists ROW, RM, RM-push, PAR (4 workers, 256-row morsels), and
+// — without MVCC, which the columnar copy does not support — COL.
+func vecVariants(mvcc bool) []vecVariant {
+	variants := []vecVariant{
 		{"ROW", func(fx *vecFixture, fs bool) Executor {
 			return &RowEngine{Tbl: fx.tbl, Sys: fx.sys, ForceScalar: fs}
 		}},
@@ -166,16 +221,23 @@ func vectorizedTrial(t *testing.T, rng *rand.Rand, mvcc bool) {
 		}},
 	}
 	if !mvcc {
-		variants = append(variants, variant{"COL", func(fx *vecFixture, fs bool) Executor {
+		variants = append(variants, vecVariant{"COL", func(fx *vecFixture, fs bool) Executor {
 			return &ColEngine{Store: fx.store, Sys: fx.sys, ForceScalar: fs}
 		}})
 	}
+	return variants
+}
 
-	for _, v := range variants {
+// requireVariantsMatch runs q scalar and vectorized under every variant and
+// requires exact matches. fixture builds one identical (system, table)
+// build per call, with the column store when asked.
+func requireVariantsMatch(t *testing.T, q Query, mvcc bool, fixture func(wantStore bool) *vecFixture) {
+	t.Helper()
+	for _, v := range vecVariants(mvcc) {
 		// Fresh twin fixtures per variant: each Execute consumes arena
 		// addresses (fabric windows), so runs must not share a system.
-		scalarFx := buildVecFixture(t, seed, mvcc, rows, v.name == "COL")
-		vectorFx := buildVecFixture(t, seed, mvcc, rows, v.name == "COL")
+		scalarFx := fixture(v.name == "COL")
+		vectorFx := fixture(v.name == "COL")
 		rs, err := v.build(scalarFx, true).Execute(q)
 		if err != nil {
 			t.Fatalf("%s scalar: %v\nquery: %+v", v.name, err, q)
@@ -185,6 +247,129 @@ func vectorizedTrial(t *testing.T, rng *rand.Rand, mvcc bool) {
 			t.Fatalf("%s vectorized: %v\nquery: %+v", v.name, err, q)
 		}
 		requireExactMatch(t, v.name, rs, rv, scalarFx.sys, vectorFx.sys)
+	}
+}
+
+// groupedSchema is the grouped property test's table: key candidates of
+// every identity-sensitive kind (DOUBLE with signed zeros and NaNs, CHAR
+// with embedded and trailing NULs, DATE, INT) beside numeric measures.
+func groupedSchema() *geometry.Schema {
+	return geometry.MustSchema(
+		geometry.Column{Name: "kf", Type: geometry.Float64, Width: 8},
+		geometry.Column{Name: "kc", Type: geometry.Char, Width: 6},
+		geometry.Column{Name: "kd", Type: geometry.Date, Width: 4},
+		geometry.Column{Name: "ki", Type: geometry.Int32, Width: 4},
+		geometry.Column{Name: "price", Type: geometry.Float64, Width: 8},
+		geometry.Column{Name: "qty", Type: geometry.Int64, Width: 8},
+	)
+}
+
+var (
+	groupedFloatKeys = []float64{math.Copysign(0, -1), 0, math.NaN(),
+		math.Float64frombits(0xfff8000000000000), -2.25, 1.5}
+	groupedCharKeys = []string{"oak", "oak\x00", "oak\x00x", "\x00oak", "", "ash"}
+)
+
+// groupedValue draws one value of groupedSchema's column col.
+func groupedValue(rng *rand.Rand, col geometry.Column) table.Value {
+	switch col.Name {
+	case "kf":
+		return table.F64(groupedFloatKeys[rng.Intn(len(groupedFloatKeys))])
+	case "kc":
+		return table.Str(groupedCharKeys[rng.Intn(len(groupedCharKeys))])
+	case "kd":
+		return table.DateV(int32(rng.Intn(4)))
+	case "ki":
+		return table.I32(int32(rng.Intn(3) - 1))
+	case "price":
+		return table.F64(rng.NormFloat64() * 1e3)
+	default:
+		return table.I64(int64(rng.Intn(50)))
+	}
+}
+
+// genGroupedQuery draws 2-3 group keys over groupedSchema's key columns,
+// 1-3 aggregates (plain, constant-derived, and a Q1-style column product),
+// and 0-2 predicates.
+func genGroupedQuery(rng *rand.Rand, sch *geometry.Schema, snapshot *uint64) Query {
+	q := Query{Snapshot: snapshot}
+	keys := rng.Perm(4)
+	q.GroupBy = keys[:2+rng.Intn(2)]
+	q.Aggregates = genAggs(rng, []int{0, 2, 3, 4, 5})
+	if rng.Intn(2) == 0 {
+		q.Aggregates = append(q.Aggregates, AggTerm{Kind: expr.Sum, Arg: expr.Binary{Op: expr.Mul,
+			L: expr.ColRef{Col: 4},
+			R: expr.Binary{Op: expr.Sub, L: expr.Const{V: 1}, R: expr.ColRef{Col: 5}}}})
+	}
+	for i := rng.Intn(3); i > 0; i-- {
+		c := 2 + rng.Intn(4)
+		ops := []expr.CmpOp{expr.Lt, expr.Le, expr.Ne, expr.Ge, expr.Gt}
+		q.Selection = append(q.Selection, expr.Predicate{
+			Col: c, Op: ops[rng.Intn(len(ops))], Operand: groupedValue(rng, sch.Column(c))})
+	}
+	return q
+}
+
+// TestVectorizedGroupedMatchesScalarExactly is the grouped half of the
+// charge-replay property test: GROUP BY over 2-3 keys mixing DOUBLE (-0.0,
+// +0.0, two NaN payloads), CHAR (embedded and trailing NULs), DATE and INT
+// runs on the batch path of every engine — with and without MVCC snapshots
+// — and matches the scalar interpreter exactly: groups, their order, keys,
+// counts and aggregate float bits, the modeled Breakdown, and the cache
+// hierarchy's trajectory.
+func TestVectorizedGroupedMatchesScalarExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	sch := groupedSchema()
+	for i := 0; i < 40; i++ {
+		mvcc := i%2 == 1
+		name := fmt.Sprintf("plain/%03d", i)
+		if mvcc {
+			name = fmt.Sprintf("mvcc/%03d", i)
+		}
+		seed := rng.Int63()
+		rows := 1 + rng.Intn(3000)
+		qrng := rand.New(rand.NewSource(seed ^ 0x5eed))
+		var snapshot *uint64
+		if mvcc {
+			ts := uint64(qrng.Intn(6))
+			snapshot = &ts
+		}
+		q := genGroupedQuery(qrng, sch, snapshot)
+		t.Run(name, func(t *testing.T) {
+			if err := q.Validate(sch); err != nil {
+				t.Fatalf("generated query invalid: %v", err)
+			}
+			if _, ok := compileScanProg(q, sch, q.Selection, nil, sch.Offset, rowVecCharges); !ok {
+				t.Fatalf("grouped query did not compile to the batch path: %+v", q)
+			}
+			fixture := func(wantStore bool) *vecFixture {
+				return buildVecFixtureWith(t, rand.New(rand.NewSource(seed)), sch, groupedValue, mvcc, rows, wantStore)
+			}
+			requireVariantsMatch(t, q, mvcc, fixture)
+
+			// The fabric's offloaded group fold keys its groups with its own
+			// code; when the aggregates are offloadable it is an oracle
+			// that shares nothing with the group table.
+			if _, ok := offloadProgram(q); !ok {
+				return
+			}
+			fx := fixture(false)
+			want, err := (&RMEngine{Tbl: fx.tbl, Sys: fx.sys, Offload: true}).Execute(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Offload == "" {
+				t.Fatalf("offloadable grouped query ran CPU-side: %+v", q)
+			}
+			fx = fixture(false)
+			got, err := (&RowEngine{Tbl: fx.tbl, Sys: fx.sys}).Execute(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameGroups(want.Groups, got.Groups); err != nil {
+				t.Fatalf("vectorized ROW disagrees with the fabric group fold: %v\nquery: %+v", err, q)
+			}
+		})
 	}
 }
 
@@ -287,12 +472,21 @@ func TestVectorizedScanAllocsConstant(t *testing.T) {
 		}
 		return sys, tbl
 	}
-	q := Query{
-		Projection: []int{0},
-		Selection:  expr.Conjunction{{Col: 0, Op: expr.Lt, Operand: table.I64(50)}},
+	queries := map[string]Query{
+		"projection": {
+			Projection: []int{0},
+			Selection:  expr.Conjunction{{Col: 0, Op: expr.Lt, Operand: table.I64(50)}},
+		},
+		// Columns 2 and 3 are CHAR over six words, so both tables hold the
+		// same 36 groups: only the per-row work scales.
+		"grouped": {
+			GroupBy: []int{2, 3},
+			Aggregates: []AggTerm{{Kind: expr.Count},
+				{Kind: expr.Sum, Arg: expr.Binary{Op: expr.Mul, L: expr.ColRef{Col: 0}, R: expr.Const{V: 2}}}},
+		},
 	}
 
-	measure := func(rows int) float64 {
+	measure := func(q Query, rows int) float64 {
 		sys, tbl := build(rows)
 		eng := &RowEngine{Tbl: tbl, Sys: sys}
 		if _, err := eng.Execute(q); err != nil { // warm the scratch
@@ -306,9 +500,11 @@ func TestVectorizedScanAllocsConstant(t *testing.T) {
 		})
 	}
 
-	small := measure(4 * 1024)
-	large := measure(16 * 1024)
-	if large > small {
-		t.Fatalf("vectorized scan allocations grow with rows: %.1f allocs at 4k rows, %.1f at 16k", small, large)
+	for name, q := range queries {
+		small := measure(q, 4*1024)
+		large := measure(q, 16*1024)
+		if large > small {
+			t.Fatalf("%s: vectorized scan allocations grow with rows: %.1f allocs at 4k rows, %.1f at 16k", name, small, large)
+		}
 	}
 }

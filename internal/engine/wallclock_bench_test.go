@@ -112,6 +112,33 @@ func BenchmarkQ6Wallclock(b *testing.B) {
 	}
 }
 
+// BenchmarkQ1Wallclock measures TPC-H Q1, the grouped aggregation, on the
+// RM path: the batch variant folds each batch into the group table through
+// typed kernels, the scalar one probes it once per boxed row.
+func BenchmarkQ1Wallclock(b *testing.B) {
+	for _, mode := range []struct {
+		name        string
+		forceScalar bool
+	}{{"scalar", true}, {"vectorized", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			sys := engine.MustSystem(engine.DefaultSystemConfig())
+			tbl := benchLineitem(b, sys)
+			eng := &engine.RMEngine{Tbl: tbl, Sys: sys, ForceScalar: mode.forceScalar}
+			q := tpch.Q1()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sys.ResetState()
+				b.StartTimer()
+				if _, err := eng.Execute(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkParScanWallclock(b *testing.B) {
 	sys := engine.MustSystem(engine.DefaultSystemConfig())
 	tbl := benchLineitem(b, sys)

@@ -361,15 +361,7 @@ func (t *Table) Execute(q engine.Query) (*Result, error) {
 			}
 			out.Groups = append(out.Groups, row)
 		}
-		sort.Slice(out.Groups, func(i, j int) bool {
-			a, b := out.Groups[i].Key, out.Groups[j].Key
-			for k := range a {
-				if c := a[k].Compare(b[k]); c != 0 {
-					return c < 0
-				}
-			}
-			return false
-		})
+		engine.SortGroups(out.Groups)
 	}
 	return out, nil
 }

@@ -260,6 +260,73 @@ func TestHashCharStopsAtNUL(t *testing.T) {
 	}
 }
 
+// TestGroupKernelsMatchPerValue checks the lane forms of the group-key hash
+// against the per-value chain, and the grouped folds against folding each
+// group's rows one at a time in row order.
+func TestGroupKernelsMatchPerValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n, width, groups = 300, 6, 7
+	ints := make([]int64, n)
+	floats := make([]float64, n)
+	src := make([]byte, n*width)
+	gids := make([]int32, n)
+	for i := 0; i < n; i++ {
+		ints[i] = randI64(rng)
+		floats[i] = randF64(rng)
+		copy(src[i*width:], charPool[rng.Intn(len(charPool))])
+		gids[i] = int32(rng.Intn(groups))
+	}
+	sel := []int32{}
+	for i := 0; i < n; i += 1 + rng.Intn(3) {
+		sel = append(sel, int32(i))
+	}
+	g := gids[:len(sel)]
+
+	h := make([]uint64, len(sel))
+	for j := range h {
+		h[j] = KeySeed
+	}
+	HashLaneI64(h, ints, sel)
+	HashLaneF64(h, floats, sel)
+	HashLaneChar(h, src, 0, width, width, sel)
+	for j, r := range sel {
+		want := HashKeyWord(KeySeed, uint64(ints[r]))
+		want = HashKeyWord(want, math.Float64bits(floats[r]))
+		want = HashKeyChar(want, TrimPad(src[int(r)*width:int(r+1)*width]))
+		if h[j] != want {
+			t.Fatalf("row %d: lane hash %#x, per-value hash %#x", r, h[j], want)
+		}
+	}
+
+	const stride = 4
+	xs := make([]float64, len(sel))
+	for j, r := range sel {
+		xs[j] = floats[r] * 2
+	}
+	got := make([]AggState, groups*stride)
+	GroupAddCount(got, stride, 0, g)
+	GroupAddF64(got, stride, 1, g, floats, sel)
+	GroupAddI64(got, stride, 2, g, ints, sel)
+	GroupAddVals(got, stride, 3, g, xs)
+	want := make([]AggState, groups*stride)
+	for j, r := range sel {
+		base := int(g[j]) * stride
+		want[base].AddCount(1)
+		want[base+1].Add(floats[r])
+		want[base+2].Add(float64(ints[r]))
+		want[base+3].Add(xs[j])
+	}
+	for i := range got {
+		a, b := got[i], want[i]
+		if a.Count != b.Count || a.Any != b.Any ||
+			math.Float64bits(a.Sum) != math.Float64bits(b.Sum) ||
+			math.Float64bits(a.Min) != math.Float64bits(b.Min) ||
+			math.Float64bits(a.Max) != math.Float64bits(b.Max) {
+			t.Fatalf("state %d: grouped fold %+v, per-row fold %+v", i, a, b)
+		}
+	}
+}
+
 // TestKernelsDoNotAllocate pins the zero-allocation property of every kernel
 // on the steady-state scan path.
 func TestKernelsDoNotAllocate(t *testing.T) {
@@ -272,6 +339,9 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	dst := make([]bool, n)
 	out := make([]float64, n)
 	var st AggState
+	hashes := make([]uint64, n)
+	gids := make([]int32, n)
+	groups := make([]AggState, 2)
 	allocs := testing.AllocsPerRun(10, func() {
 		for i := range sel {
 			sel[i] = int32(i)
@@ -288,6 +358,12 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		CompactLaneF64(out[:len(s)], laneF, s)
 		MulLanes(out[:len(s)], out[:len(s)])
 		AddF64(&st, laneF, s)
+		h := hashes[:len(s)]
+		HashLaneI64(h, lane, s)
+		HashLaneF64(h, laneF, s)
+		HashLaneChar(h, src, 0, 16, 6, s)
+		GroupAddCount(groups, 2, 0, gids[:len(s)])
+		GroupAddF64(groups, 2, 1, gids[:len(s)], laneF, s)
 	})
 	if allocs != 0 {
 		t.Fatalf("kernel chain allocates %.1f times per run, want 0", allocs)
