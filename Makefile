@@ -20,8 +20,8 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Scalar-vs-vectorized wall-clock comparison on the TPC-H scan benchmarks,
-# plus the warm/cold group-cache pair.
+# Scalar-vs-vectorized wall-clock comparison on the TPC-H scan benchmarks
+# and the Q3 join, plus the warm/cold group-cache pair.
 bench-wallclock:
 	$(GO) test ./internal/engine -run '^$$' -bench 'Wallclock|Sequence' -benchmem
 

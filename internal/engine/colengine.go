@@ -78,16 +78,13 @@ func (e *ColEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 	if !e.ForceScalar && rows <= vecRowLimit {
 		// The column arrays are dense, so every slot decodes at offset 0 of
 		// its own array; predicates run as bitmap passes outside the
-		// program, hence the empty selection.
-		if prog, ok := compileScanProg(q, sch, nil, q.consumedColumns(), func(int) int { return 0 }, colVecCharges); ok {
-			s.prog = prog
-			s.colVec = &colVecLayout{store: store}
-			if e.scratch == nil {
-				e.scratch = &scanScratch{}
-			}
-			s.scratch = e.scratch
-			return s, nil
+		// program (the scan leaves cpuSel empty), and the visit list is the
+		// batch program's consume order too.
+		if e.scratch == nil {
+			e.scratch = &scanScratch{}
 		}
+		s.scratch, s.vecOffs, s.vecCh = e.scratch, make([]int, sch.NumColumns()), colVecCharges
+		s.colVec = &colVecLayout{store: store}
 	}
 
 	s.prepare = func(pr *pipeRun) ([]int, error) {

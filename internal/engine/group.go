@@ -215,6 +215,37 @@ func (ks *groupKeySrc) charAt(row int32, width int) []byte {
 	return ks.src[o : o+width]
 }
 
+// keyGroup maps a one-column key with hash h — w for an integer key (its
+// value) or a DOUBLE key (its bits), the trimmed bytes b for a CHAR key — to
+// its group id. An unseen key gets a new group when insert is set, and -1
+// otherwise; lookups without insert never write, so concurrent probes of a
+// finished table are safe.
+func (g *groupTable) keyGroup(h, w uint64, b []byte, insert bool) int32 {
+	c := &g.keys[0]
+	char := c.typ == geometry.Char
+	mask := len(g.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := g.slots[i]
+		if s == 0 {
+			if !insert {
+				return -1
+			}
+			gid := g.newGroup(h)
+			if char {
+				c.appendChar(b)
+			} else {
+				c.num = append(c.num, w)
+			}
+			g.place(i, gid)
+			return gid
+		}
+		gid := s - 1
+		if g.hashes[gid] == h && (char && bytes.Equal(c.char(gid), b) || !char && c.num[gid] == w) {
+			return gid
+		}
+	}
+}
+
 // newGroup appends a group's hash, count and zeroed states; the caller
 // appends its key columns and places it.
 func (g *groupTable) newGroup(h uint64) int32 {
@@ -259,34 +290,53 @@ func (c *groupKeyCol) char(gid int32) []byte {
 }
 
 // key rebuilds group gid's key column as a Value; CHAR keys come back
-// padded to the column width, exactly as the row codec decodes them.
-func (c *groupKeyCol) key(gid int32) table.Value {
+// padded to the column width, exactly as the row codec decodes them, in
+// pad: a zeroed buffer of at least the width that the value keeps.
+func (c *groupKeyCol) key(gid int32, pad []byte) table.Value {
 	switch c.typ {
 	case geometry.Float64:
 		return table.Value{Type: c.typ, Float: math.Float64frombits(c.num[gid])}
 	case geometry.Char:
-		b := c.char(gid)
-		out := make([]byte, c.width)
-		copy(out, b)
+		out := pad[:c.width:c.width]
+		copy(out, c.char(gid))
 		return table.Value{Type: c.typ, Bytes: out}
 	default:
 		return table.Value{Type: c.typ, Int: int64(c.num[gid])}
 	}
 }
 
-// rows assembles the grouped output, sorted by key.
+// rows assembles the grouped output, sorted by key. Every group's Key and
+// Aggs, and every padded CHAR key, are cut from flat backing arrays with
+// full-slice expressions, so the output costs a fixed number of
+// allocations however many groups there are, and appending to one row's
+// slice never writes into another's.
 func (g *groupTable) rows(terms []AggTerm) []GroupRow {
-	if len(g.hashes) == 0 {
+	n := len(g.hashes)
+	if n == 0 {
 		return nil
 	}
-	out := make([]GroupRow, len(g.hashes))
+	nk := len(g.keys)
+	out := make([]GroupRow, n)
+	keys := make([]table.Value, n*nk)
+	aggs := make([]table.Value, n*g.naggs)
+	charWidth := 0
+	for k := range g.keys {
+		if g.keys[k].typ == geometry.Char {
+			charWidth += g.keys[k].width
+		}
+	}
+	chars := make([]byte, n*charWidth)
 	for i := range out {
 		gid := int32(i)
-		row := GroupRow{Key: make([]table.Value, len(g.keys)), Count: g.counts[gid],
-			Aggs: make([]table.Value, g.naggs)}
+		key := keys[i*nk : (i+1)*nk : (i+1)*nk]
 		for k := range g.keys {
-			row.Key[k] = g.keys[k].key(gid)
+			key[k] = g.keys[k].key(gid, chars)
+			if g.keys[k].typ == geometry.Char {
+				chars = chars[g.keys[k].width:]
+			}
 		}
+		row := GroupRow{Key: key, Count: g.counts[gid],
+			Aggs: aggs[i*g.naggs : (i+1)*g.naggs : (i+1)*g.naggs]}
 		for t, st := range g.aggs(gid) {
 			row.Aggs[t] = aggResult(terms[t].Kind, st)
 		}

@@ -58,13 +58,13 @@ func TestGroupTableBatchMatchesValueLookup(t *testing.T) {
 	}
 	for gid := range batch.hashes {
 		for k := range cols {
-			a, b := batch.keys[k].key(int32(gid)), boxed.keys[k].key(int32(gid))
+			a, b := batch.keys[k].key(int32(gid), make([]byte, 4)), boxed.keys[k].key(int32(gid), make([]byte, 4))
 			if !sameValueBits(a, b) {
 				t.Fatalf("group %d key %d: batch %+v, boxed %+v", gid, k, a, b)
 			}
 		}
 	}
-	if got := len(batch.keys[1].key(0).Bytes); got != 4 {
+	if got := len(batch.keys[1].key(0, make([]byte, 8)).Bytes); got != 4 {
 		t.Fatalf("CHAR key rebuilt with %d bytes, want the column width 4", got)
 	}
 }
@@ -157,5 +157,38 @@ func TestMergeAggMatchesAggResult(t *testing.T) {
 		if got, want := aggResult(kind, merged), aggResult(kind, whole); !got.Equal(want) {
 			t.Fatalf("%s: merged %v, single fold %v", kind, got, want)
 		}
+	}
+}
+
+// TestGroupRowsAllocsConstant pins the grouped output's allocation count:
+// every group's Key, Aggs and padded CHAR key come from flat backing
+// arrays, so rows() costs the same allocations for 8 groups as for 4096,
+// and the full-slice expressions keep one row's append from writing into
+// the next row's key.
+func TestGroupRowsAllocsConstant(t *testing.T) {
+	cols := []geometry.Column{{Type: geometry.Int64, Width: 8}, {Type: geometry.Char, Width: 6}}
+	terms := []AggTerm{{Kind: expr.Count}, {Kind: expr.Sum, Arg: expr.ColRef{Col: 0}}}
+	table4 := func(n int) *groupTable {
+		g := newGroupTable(cols, len(terms))
+		for i := 0; i < n; i++ {
+			gid := g.lookup([]table.Value{table.I64(int64(i)), table.Str("k")})
+			g.counts[gid]++
+			g.aggs(gid)[1].Add(float64(i))
+		}
+		return g
+	}
+	small, large := table4(8), table4(4096)
+	a := allocsWithoutGC(t, 10, func() { small.rows(terms) })
+	b := allocsWithoutGC(t, 10, func() { large.rows(terms) })
+	if b > a {
+		t.Fatalf("grouped output allocations grow with groups: %.0f for 8 groups, %.0f for 4096", a, b)
+	}
+	out := small.rows(terms)
+	grown := append(out[0].Key, table.I64(-1))
+	if &grown[0] == &out[0].Key[0] || !out[1].Key[0].Equal(table.I64(1)) {
+		t.Fatal("appending to a group's key aliased the next group's key")
+	}
+	if w := len(out[3].Key[1].Bytes); w != 6 {
+		t.Fatalf("CHAR key padded to %d bytes, want the column width 6", w)
 	}
 }

@@ -19,10 +19,12 @@ import (
 // Join execution over the shared pipeline. A plan.Node join tree lowers to
 // a JoinPlan: one probe side plus a list of build stages, each side a full
 // Source-backed subplan with its own selection, snapshot, and needed
-// columns. Execution streams every side through the scalar pipeline's sink
-// hook — build rows into per-stage hash tables, probe rows through a
-// multi-stage probe that folds matched combined rows straight into the
-// consumer — so every build and probe byte flows through Hier.Load, each
+// columns. Execution streams every side through the pipeline's sink hooks
+// (jointable.go) — build rows into per-stage join tables, probe rows
+// through a multi-stage probe that folds matched combined rows straight
+// into the consumer — on the batch pipeline where the side's source has
+// one (ROW, RM, PAR morsels) and the scalar one otherwise (COL, IDX). Every
+// build and probe byte flows through Hier.Load in the scalar order, each
 // phase closes its own span, and the run's root span reconciles exactly
 // with the summed Breakdown.TotalCycles.
 
@@ -331,12 +333,22 @@ func (p *JoinPlan) layout() ([]int, []int) {
 	return side, slot
 }
 
-// runSink streams one join side through the scalar pipeline, handing every
-// qualifying row to sink instead of a consumer. The side's span and
-// breakdown close like any scan's, so join phases reconcile side by side.
-// Sources must be constructed with ForceScalar where the engine has a batch
-// path — the batch executors have no sink hook.
-func runSink(src Source, q Query, label string, sink func(pr *pipeRun, fetch func(col int) table.Value)) (*Result, error) {
+// sideSink is what a join side streams its qualifying rows into: row on
+// the scalar pipeline; batch, with the pass outcomes shape describes, on
+// the batch pipeline. A nil batch keeps the side scalar.
+type sideSink struct {
+	row   func(pr *pipeRun, fetch func(col int) table.Value)
+	shape *sinkShape
+	batch vecSink
+}
+
+// runSink streams one join side through the shared pipeline, handing every
+// qualifying row (scalar) or batch of survivors (batch) to the sink instead
+// of a consumer. Sides whose source offers the strided batch path (ROW, RM,
+// PAR morsels) run batched; COL and IDX sides, and sources built with
+// ForceScalar, run the scalar sink. The side's span and breakdown close
+// like any scan's, so join phases reconcile side by side.
+func runSink(src Source, q Query, label string, sk sideSink) (*Result, error) {
 	sys, tr := src.sysTracer()
 	sp := tr.Begin(label)
 	sp.SetAttr("engine", src.Name())
@@ -348,139 +360,61 @@ func runSink(src Source, q Query, label string, sink func(pr *pipeRun, fetch fun
 	if err != nil {
 		return nil, err
 	}
-	if s.direct != nil || s.prog != nil {
-		return nil, errors.New("engine: sink scan requires the scalar pipeline (construct the source with ForceScalar)")
+	if s.direct != nil {
+		return nil, errors.New("engine: a join side cannot run as an offloaded aggregation")
 	}
 	s.name = src.Name()
 	s.sys = sys
 	s.tracer = tr
 	s.sp = sp
-	s.sink = sink
+	if s.scratch != nil && s.colVec == nil && sk.batch != nil {
+		s.prog = compileSinkProg(s.sch, s.cpuSel, sk.shape, s.vecOffs, s.vecCh)
+		s.vsink = sk.batch
+		return s.runVec(q)
+	}
+	s.sink = sk.row
 	return s.runScalar(q)
 }
 
-// copyValue detaches a value from source-owned buffers (fabric chunk data,
-// base-heap rows) so build entries stay valid across chunk resets and
-// concurrent writers.
-func copyValue(v table.Value) table.Value {
-	if v.Type == geometry.Char && v.Bytes != nil {
-		b := make([]byte, len(v.Bytes))
-		copy(b, v.Bytes)
-		v.Bytes = b
-	}
-	return v
-}
-
-// buildJoinTables streams each build side into its stage's hash table,
-// charging HashBuildCycles per inserted row inside the side's measured
-// window. Entries hold the side projection's values in order.
-func buildJoinTables(p *JoinPlan, builds []Source) ([]map[string][][]table.Value, []*Result, error) {
+// buildJoinTables streams each build side into its stage's table, charging
+// HashBuildCycles per inserted row inside the side's measured window.
+func buildJoinTables(p *JoinPlan, builds []Source) ([]*joinTable, []*Result, error) {
 	if len(builds) != len(p.Stages) {
 		return nil, nil, fmt.Errorf("engine: join plan has %d stages but %d build sources", len(p.Stages), len(builds))
 	}
 	p.layout()
-	tables := make([]map[string][][]table.Value, len(p.Stages))
+	tables := make([]*joinTable, len(p.Stages))
 	results := make([]*Result, len(p.Stages))
 	for k := range p.Stages {
-		stage := &p.Stages[k]
-		proj := stage.Side.Query.Projection
-		keySlot := -1
-		for i, c := range proj {
-			if c == stage.BuildKey {
-				keySlot = i
-				break
-			}
-		}
-		if keySlot < 0 {
-			return nil, nil, fmt.Errorf("engine: stage %d build key %d missing from side projection", k, stage.BuildKey)
-		}
-		tbl := make(map[string][][]table.Value)
-		var keyBuf []byte
-		ks := keySlot
-		res, err := runSink(builds[k], stage.Side.Query, fmt.Sprintf("build[%d]", k), func(pr *pipeRun, fetch func(int) table.Value) {
-			pr.compute += HashBuildCycles
-			entry := make([]table.Value, len(proj))
-			for i, c := range proj {
-				entry[i] = copyValue(fetch(c))
-			}
-			var ok bool
-			keyBuf, ok = joinKeyTo(keyBuf[:0], entry[ks])
-			if !ok {
-				return // NaN keys never match
-			}
-			tbl[string(keyBuf)] = append(tbl[string(keyBuf)], entry)
-		})
+		t, err := newJoinTable(p, k)
 		if err != nil {
 			return nil, nil, err
 		}
-		tables[k] = tbl
+		q := p.Stages[k].Side.Query
+		shape := &sinkShape{cols: [][]int{q.Projection}, charge: []uint64{HashBuildCycles}}
+		res, err := runSink(builds[k], q, fmt.Sprintf("build[%d]", k), sideSink{row: t.addRow, shape: shape, batch: t.addBatch})
+		if err != nil {
+			return nil, nil, err
+		}
+		tables[k] = t
 		results[k] = res
 	}
 	return tables, results, nil
 }
 
 // probeSemiJoin builds the fabric-side Bloom pre-filter for an offloaded
-// probe scan from stage 0's finished hash table: every build key enters the
-// filter, and the fabric drops probe rows whose key cannot be present before
-// they ship. Stage 0's probe key is always probe-local (FromJoinPlan
+// probe scan from stage 0's finished table: every distinct build key enters
+// the filter, and the fabric drops probe rows whose key cannot be present
+// before they ship. Stage 0's probe key is always probe-local (FromJoinPlan
 // validates ProbeKey < Offsets[1]), so it addresses the probe table
 // directly. The filter is populated during the build side's existing
 // HashBuildCycles pass — inserting into a Bloom filter rides the same
 // per-row hashing work, so no extra cycles are charged.
-func probeSemiJoin(p *JoinPlan, tables []map[string][][]table.Value) *fabric.SemiJoin {
-	if len(p.Stages) == 0 || len(tables) == 0 {
-		return nil
-	}
-	bl := fabric.NewBloom(len(tables[0]))
-	for k := range tables[0] {
-		bl.Add([]byte(k))
-	}
+func probeSemiJoin(p *JoinPlan, tables []*joinTable) *fabric.SemiJoin {
 	return &fabric.SemiJoin{
 		Col:    p.Stages[0].ProbeKey,
 		Key:    joinKeyTo,
-		Filter: bl,
-	}
-}
-
-// newJoinProber returns the probe-side sink: for each probe row it walks
-// the stages in order, looking up each stage's hash table by the combined
-// row's probe-key value, and folds every fully matched combined row into
-// cons. Consumer folding cycles land in the probe's measured window.
-func newJoinProber(p *JoinPlan, tables []map[string][][]table.Value, cons *consumer, fold *uint64) func(pr *pipeRun, fetch func(col int) table.Value) {
-	colSide, colSlot := p.layout()
-	current := make([][]table.Value, len(p.Stages))
-	var keyBuf []byte
-	var probeFetch func(int) table.Value
-	var pr *pipeRun
-	combinedFetch := func(col int) table.Value {
-		s := colSide[col]
-		if s == 0 {
-			return probeFetch(colSlot[col])
-		}
-		return current[s-1][colSlot[col]]
-	}
-	var descend func(stage int)
-	descend = func(stage int) {
-		if stage == len(p.Stages) {
-			before := *fold
-			cons.consumeRow(combinedFetch)
-			pr.compute += *fold - before
-			return
-		}
-		pr.compute += HashProbeCycles
-		var ok bool
-		keyBuf, ok = joinKeyTo(keyBuf[:0], combinedFetch(p.Stages[stage].ProbeKey))
-		if !ok {
-			return
-		}
-		for _, entry := range tables[stage][string(keyBuf)] {
-			current[stage] = entry
-			descend(stage + 1)
-		}
-	}
-	return func(run *pipeRun, fetch func(col int) table.Value) {
-		pr, probeFetch = run, fetch
-		descend(0)
+		Filter: tables[0].bloom(),
 	}
 }
 
@@ -523,24 +457,26 @@ func (e *JoinExec) Execute() (*Result, error) {
 		return nil, err
 	}
 
-	// An offloaded RM probe gets the build side's Bloom filter pushed into
+	// An offloaded RM probe gets this execution's Bloom filter pushed into
 	// the fabric: probe chunks are pre-filtered near data, so rows that
-	// cannot join never cross to the CPU.
-	if rm, ok := e.Probe.(*RMEngine); ok && rm.Offload && rm.SemiJoin == nil {
-		if semi := probeSemiJoin(p, tables); semi != nil {
-			rm.SemiJoin = semi
-			sp.SetAttr("probe_filter", "bloom")
-		}
+	// cannot join never cross to the CPU. The filter arms a copy of the
+	// probe source, never the caller's: a later execution over grown build
+	// sides must not filter with a stale one.
+	probe := e.Probe
+	if rm, ok := probe.(*RMEngine); ok && rm.Offload && rm.SemiJoin == nil {
+		armed := *rm
+		armed.SemiJoin = probeSemiJoin(p, tables)
+		probe = &armed
+		sp.SetAttr("probe_filter", "bloom")
 	}
 
-	var fold uint64
-	cons := newConsumer(p.Consume, p.Schema, &fold)
-	probeRes, err := runSink(e.Probe, p.Probe.Query, "probe", newJoinProber(p, tables, cons, &fold))
+	jp := newJoinProbePlan(p, tables).newProbe(nil)
+	probeRes, err := runSink(probe, p.Probe.Query, "probe", jp.sink())
 	if err != nil {
 		return nil, err
 	}
 
-	res := cons.finish(name, probeRes.RowsScanned)
+	res := jp.cons.finish(name, probeRes.RowsScanned)
 	res.Breakdown = probeRes.Breakdown
 	res.Offload = probeRes.Offload
 	stampSideAct(p.Probe.Node, probeRes)
@@ -583,6 +519,10 @@ type ParallelJoinExec struct {
 	// probe chunks near data.
 	Offload bool
 
+	// forceScalar pins the morsels' probe scans to the scalar sink, the
+	// batch probe's A/B oracle in tests.
+	forceScalar bool
+
 	Tracer *obs.Tracer
 	Reg    *obs.Registry
 }
@@ -607,10 +547,10 @@ func (e *ParallelJoinExec) Execute() (*Result, error) {
 	// fabric; the Key closure is stateless, so concurrent probes are safe.
 	var semi *fabric.SemiJoin
 	if e.Offload {
-		if semi = probeSemiJoin(p, tables); semi != nil {
-			sp.SetAttr("probe_filter", "bloom")
-		}
+		semi = probeSemiJoin(p, tables)
+		sp.SetAttr("probe_filter", "bloom")
 	}
+	pp := newJoinProbePlan(p, tables)
 
 	rows := e.ProbeTbl.NumRows()
 	numMorsels := (rows + par.MorselRows - 1) / par.MorselRows
@@ -638,6 +578,7 @@ func (e *ParallelJoinExec) Execute() (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ps := &probeScratch{}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= numMorsels {
@@ -647,7 +588,7 @@ func (e *ParallelJoinExec) Execute() (*Result, error) {
 				if tracers != nil {
 					tr = tracers[i]
 				}
-				parts[i], passed[i], errs[i] = e.runMorsel(tables, semi, i, par.MorselRows, rows, tr)
+				parts[i], passed[i], errs[i] = e.runMorsel(pp, ps, semi, i, par.MorselRows, rows, tr)
 			}
 		}()
 	}
@@ -717,8 +658,8 @@ func (e *ParallelJoinExec) Execute() (*Result, error) {
 
 // runMorsel probes one probe-table slice on a fresh System clone, folding
 // matches into a morsel-private consumer whose partial the coordinator
-// merges in morsel order.
-func (e *ParallelJoinExec) runMorsel(tables []map[string][][]table.Value, semi *fabric.SemiJoin, i, morselRows, totalRows int, tr *obs.Tracer) (*Result, int64, error) {
+// merges in morsel order. ps is the worker's probe workspace.
+func (e *ParallelJoinExec) runMorsel(pp *joinProbePlan, ps *probeScratch, semi *fabric.SemiJoin, i, morselRows, totalRows int, tr *obs.Tracer) (*Result, int64, error) {
 	lo := i * morselRows
 	hi := lo + morselRows
 	if hi > totalRows {
@@ -735,14 +676,14 @@ func (e *ParallelJoinExec) runMorsel(tables []map[string][][]table.Value, semi *
 	if err != nil {
 		return nil, 0, err
 	}
-	src := &RMEngine{Tbl: slice, Sys: sys, Tracer: tr, ForceScalar: true, Offload: e.Offload, SemiJoin: semi}
-	var fold uint64
-	cons := newConsumer(e.Plan.Consume, e.Plan.Schema, &fold)
-	probeRes, err := runSink(src, e.Plan.Probe.Query, "probe", newJoinProber(e.Plan, tables, cons, &fold))
+	src := &RMEngine{Tbl: slice, Sys: sys, Tracer: tr, ForceScalar: e.forceScalar, Offload: e.Offload, SemiJoin: semi,
+		scratch: &ps.scan}
+	jp := pp.newProbe(ps)
+	probeRes, err := runSink(src, e.Plan.Probe.Query, "probe", jp.sink())
 	if err != nil {
 		return nil, 0, err
 	}
-	part := cons.finish("RM", probeRes.RowsScanned)
+	part := jp.cons.finish("RM", probeRes.RowsScanned)
 	part.Breakdown = probeRes.Breakdown
 	// The morsel's probe-side survivor count rides back separately: the
 	// partial's RowsPassed is the join output cardinality, not the probe

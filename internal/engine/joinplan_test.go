@@ -1,7 +1,11 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"rfabric/internal/expr"
@@ -87,22 +91,32 @@ func (f *joinPlanFixture) lookup(name string) (*geometry.Schema, error) {
 
 // materialize reads every row of a table into boxed values.
 func materialize(tbl *table.Table) [][]table.Value {
+	return materializeAt(tbl, nil)
+}
+
+// materializeAt reads the rows of tbl visible at snapshot (every row when
+// snapshot is nil) into boxed values.
+func materializeAt(tbl *table.Table, snapshot *uint64) [][]table.Value {
 	sch := tbl.Schema()
-	out := make([][]table.Value, tbl.NumRows())
-	for r := range out {
+	var out [][]table.Value
+	for r := 0; r < tbl.NumRows(); r++ {
+		if snapshot != nil && !tbl.VisibleAt(r, *snapshot) {
+			continue
+		}
 		row := make([]table.Value, sch.NumColumns())
 		payload := tbl.RowPayload(r)
 		for c := range row {
 			row[c] = table.DecodeColumn(sch.Column(c), payload[sch.Offset(c):])
 		}
-		out[r] = row
+		out = append(out, row)
 	}
 	return out
 }
 
-// referenceJoin nested-loops the join plan over materialized tables and
-// folds the matches through the same consumer the engines use, producing
-// the ground-truth Result shape.
+// referenceJoin is the join oracle. It shares no code with the engines: it
+// nested-loops the plan over materialized rows under its own reading of SQL
+// equality, and folds the matches with its own checksum, its own map of
+// groups and its own ordering. Compare its Result with EquivalentTo.
 func referenceJoin(p *JoinPlan, probe [][]table.Value, builds ...[][]table.Value) *Result {
 	passes := func(row []table.Value, sel expr.Conjunction) bool {
 		for _, pr := range sel {
@@ -112,17 +126,11 @@ func referenceJoin(p *JoinPlan, probe [][]table.Value, builds ...[][]table.Value
 		}
 		return true
 	}
-	match := func(a, b table.Value) bool {
-		ka, okA := joinKeyTo(nil, a)
-		kb, okB := joinKeyTo(nil, b)
-		return okA && okB && string(ka) == string(kb)
-	}
-	var fold uint64
-	cons := newConsumer(p.Consume, p.Schema, &fold)
+	fold := newRefFold(p.Consume, p.Schema)
 	var descend func(stage int, combined []table.Value)
 	descend = func(stage int, combined []table.Value) {
 		if stage == len(p.Stages) {
-			cons.consumeRow(func(c int) table.Value { return combined[c] })
+			fold.add(combined)
 			return
 		}
 		st := p.Stages[stage]
@@ -130,7 +138,7 @@ func referenceJoin(p *JoinPlan, probe [][]table.Value, builds ...[][]table.Value
 			if !passes(brow, st.Side.Query.Selection) {
 				continue
 			}
-			if !match(combined[st.ProbeKey], brow[st.BuildKey]) {
+			if !refSQLEqual(combined[st.ProbeKey], brow[st.BuildKey]) {
 				continue
 			}
 			descend(stage+1, append(combined[:len(combined):len(combined)], brow...))
@@ -142,7 +150,220 @@ func referenceJoin(p *JoinPlan, probe [][]table.Value, builds ...[][]table.Value
 		}
 		descend(0, prow)
 	}
-	return cons.finish("REF", 0)
+	return fold.result()
+}
+
+// refSQLEqual is SQL equality of two join keys of one family: integers by
+// value whatever their width, DOUBLE by IEEE comparison (so -0.0 = +0.0 and
+// NaN equals nothing), CHAR by content with trailing NUL padding ignored.
+func refSQLEqual(a, b table.Value) bool {
+	switch a.Type {
+	case geometry.Float64:
+		return a.Float == b.Float
+	case geometry.Char:
+		return string(refTrim(a.Bytes)) == string(refTrim(b.Bytes))
+	default:
+		return a.Int == b.Int
+	}
+}
+
+func refTrim(b []byte) []byte {
+	for len(b) > 0 && b[len(b)-1] == 0 {
+		b = b[:len(b)-1]
+	}
+	return b
+}
+
+// refHash is the documented projection checksum of one value: FNV-1a over
+// the column index and then the value — integers by their 64-bit payload,
+// DOUBLE by its bits, CHAR by its bytes up to the first NUL — each word
+// little-endian.
+func refHash(col int, v table.Value) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	word := func(x uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= x >> (8 * i) & 0xff
+			h *= prime
+		}
+	}
+	word(uint64(col))
+	switch v.Type {
+	case geometry.Float64:
+		word(math.Float64bits(v.Float))
+	case geometry.Char:
+		for _, c := range v.Bytes {
+			if c == 0 {
+				break
+			}
+			h ^= uint64(c)
+			h *= prime
+		}
+	default:
+		word(uint64(v.Int))
+	}
+	return h
+}
+
+// refAgg is one aggregate's running state in the oracle.
+type refAgg struct {
+	n        int64
+	sum      float64
+	min, max float64
+}
+
+func (a *refAgg) add(x float64) {
+	if a.n == 0 || x < a.min {
+		a.min = x
+	}
+	if a.n == 0 || x > a.max {
+		a.max = x
+	}
+	a.n++
+	a.sum += x
+}
+
+func (a *refAgg) value(kind expr.AggKind) table.Value {
+	switch kind {
+	case expr.Count:
+		return table.I64(a.n)
+	case expr.Sum:
+		return table.F64(a.sum)
+	case expr.Avg:
+		if a.n == 0 {
+			return table.F64(0)
+		}
+		return table.F64(a.sum / float64(a.n))
+	case expr.Min:
+		return table.F64(a.min)
+	default:
+		return table.F64(a.max)
+	}
+}
+
+type refGroup struct {
+	key  []table.Value
+	rows int64
+	aggs []refAgg
+}
+
+// refFold consumes matched combined rows into the query's output shape.
+type refFold struct {
+	q        Query
+	sch      *geometry.Schema
+	rows     int64
+	checksum uint64
+	aggs     []refAgg
+	groups   map[string]*refGroup
+}
+
+func newRefFold(q Query, sch *geometry.Schema) *refFold {
+	return &refFold{q: q, sch: sch, aggs: make([]refAgg, len(q.Aggregates)), groups: map[string]*refGroup{}}
+}
+
+func (f *refFold) add(row []table.Value) {
+	f.rows++
+	if len(f.q.Aggregates) == 0 {
+		for _, c := range f.q.Projection {
+			f.checksum += refHash(c, row[c])
+		}
+		return
+	}
+	aggs := f.aggs
+	if len(f.q.GroupBy) > 0 {
+		// Groups are identified bitwise: integers by value, DOUBLE by bits,
+		// CHAR by content without trailing padding.
+		var id []byte
+		for _, c := range f.q.GroupBy {
+			v := row[c]
+			switch v.Type {
+			case geometry.Float64:
+				id = binary.LittleEndian.AppendUint64(id, math.Float64bits(v.Float))
+			case geometry.Char:
+				id = append(binary.LittleEndian.AppendUint32(id, uint32(len(refTrim(v.Bytes)))), refTrim(v.Bytes)...)
+			default:
+				id = binary.LittleEndian.AppendUint64(id, uint64(v.Int))
+			}
+		}
+		g := f.groups[string(id)]
+		if g == nil {
+			g = &refGroup{aggs: make([]refAgg, len(f.q.Aggregates))}
+			for _, c := range f.q.GroupBy {
+				v := row[c]
+				if v.Type == geometry.Char {
+					padded := make([]byte, f.sch.Column(c).Width)
+					copy(padded, refTrim(v.Bytes))
+					v.Bytes = padded
+				}
+				g.key = append(g.key, v)
+			}
+			f.groups[string(id)] = g
+		}
+		g.rows++
+		aggs = g.aggs
+	}
+	for i, t := range f.q.Aggregates {
+		if t.Arg == nil {
+			aggs[i].n++
+			continue
+		}
+		aggs[i].add(t.Arg.EvalF(func(c int) table.Value { return row[c] }))
+	}
+}
+
+func (f *refFold) result() *Result {
+	res := &Result{Engine: "REF", RowsPassed: f.rows, Checksum: f.checksum}
+	if len(f.q.Aggregates) == 0 {
+		return res
+	}
+	if len(f.q.GroupBy) == 0 {
+		for i, t := range f.q.Aggregates {
+			res.Aggs = append(res.Aggs, f.aggs[i].value(t.Kind))
+		}
+		return res
+	}
+	for _, g := range f.groups {
+		row := GroupRow{Key: g.key, Count: g.rows}
+		for i, t := range f.q.Aggregates {
+			row.Aggs = append(row.Aggs, g.aggs[i].value(t.Kind))
+		}
+		res.Groups = append(res.Groups, row)
+	}
+	sort.Slice(res.Groups, func(i, j int) bool {
+		return refKeyLess(res.Groups[i].Key, res.Groups[j].Key)
+	})
+	return res
+}
+
+// refKeyLess orders group keys column by column: integers and CHAR content
+// ascending, DOUBLE ascending with every NaN last and equal values (-0.0
+// and +0.0, NaN payloads) broken by their signed bits.
+func refKeyLess(a, b []table.Value) bool {
+	for k := range a {
+		x, y := a[k], b[k]
+		switch x.Type {
+		case geometry.Float64:
+			xn, yn := math.IsNaN(x.Float), math.IsNaN(y.Float)
+			if xn != yn {
+				return yn
+			}
+			if !xn && x.Float != y.Float {
+				return x.Float < y.Float
+			}
+			if xb, yb := int64(math.Float64bits(x.Float)), int64(math.Float64bits(y.Float)); xb != yb {
+				return xb < yb
+			}
+		case geometry.Char:
+			if c := bytes.Compare(refTrim(x.Bytes), refTrim(y.Bytes)); c != 0 {
+				return c < 0
+			}
+		default:
+			if x.Int != y.Int {
+				return x.Int < y.Int
+			}
+		}
+	}
+	return false
 }
 
 // q3ClassPlan builds fact ⋈ dim with a selection on each side and grouped
@@ -177,28 +398,72 @@ func TestJoinExecMatchesReference(t *testing.T) {
 		t.Fatal("reference join produced no rows; fixture is too sparse")
 	}
 
-	probes := map[string]func() Source{
-		"ROW": func() Source { return &RowEngine{Tbl: f.fact, Sys: f.sys, ForceScalar: true} },
-		"RM":  func() Source { return &RMEngine{Tbl: f.fact, Sys: f.sys, ForceScalar: true} },
+	probes := map[string]func(scalar bool) Source{
+		"ROW": func(fs bool) Source { return &RowEngine{Tbl: f.fact, Sys: f.sys, ForceScalar: fs} },
+		"RM":  func(fs bool) Source { return &RMEngine{Tbl: f.fact, Sys: f.sys, ForceScalar: fs} },
 	}
 	for name, mk := range probes {
-		f.sys.ResetState()
-		ex := &JoinExec{
-			Plan:   p,
-			Probe:  mk(),
-			Builds: []Source{&RowEngine{Tbl: f.dim, Sys: f.sys, ForceScalar: true}},
+		for _, scalar := range []bool{false, true} {
+			f.sys.ResetState()
+			ex := &JoinExec{
+				Plan:   p,
+				Probe:  mk(scalar),
+				Builds: []Source{&RowEngine{Tbl: f.dim, Sys: f.sys, ForceScalar: scalar}},
+			}
+			got, err := ex.Execute()
+			if err != nil {
+				t.Fatalf("%s probe (scalar=%v): %v", name, scalar, err)
+			}
+			if err := got.EquivalentTo(ref, 1e-9); err != nil {
+				t.Errorf("%s probe (scalar=%v) disagrees with reference: %v", name, scalar, err)
+			}
+			wantScanned := int64(f.fact.NumRows() + f.dim.NumRows())
+			if got.RowsScanned != wantScanned {
+				t.Errorf("%s probe (scalar=%v) scanned %d rows, want %d", name, scalar, got.RowsScanned, wantScanned)
+			}
 		}
-		got, err := ex.Execute()
-		if err != nil {
-			t.Fatalf("%s probe: %v", name, err)
-		}
-		if err := got.EquivalentTo(ref, 1e-9); err != nil {
-			t.Errorf("%s probe disagrees with reference: %v", name, err)
-		}
-		wantScanned := int64(f.fact.NumRows() + f.dim.NumRows())
-		if got.RowsScanned != wantScanned {
-			t.Errorf("%s probe scanned %d rows, want %d", name, got.RowsScanned, wantScanned)
-		}
+	}
+}
+
+// TestJoinExecRearmsBloomPerExecution re-executes one JoinExec over an
+// offloaded RM probe after its build side grew: the Bloom pre-filter must
+// come from the execution's own build, so the re-execution matches a fresh
+// executor and the reference, and the caller's probe source is left as it
+// was given.
+func TestJoinExecRearmsBloomPerExecution(t *testing.T) {
+	f := newJoinPlanFixture(t, 2000, 60, 7)
+	p := q3ClassPlan(f, t)
+	dimRows := materialize(f.dim)
+	small := buildJoinTable(t, f.sys, "dim", dimSchema(), dimRows[:5], false)
+
+	probe := &RMEngine{Tbl: f.fact, Sys: f.sys, Offload: true}
+	ex := &JoinExec{Plan: p, Probe: probe, Builds: []Source{&RMEngine{Tbl: small, Sys: f.sys}}}
+	first, err := ex.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Offload != "semi-join" {
+		t.Fatalf("offloaded probe ran with offload %q, want semi-join", first.Offload)
+	}
+	if probe.SemiJoin != nil {
+		t.Fatal("Execute armed the caller's probe source with its Bloom filter")
+	}
+	ex.Builds = []Source{&RMEngine{Tbl: f.dim, Sys: f.sys}}
+	again, err := ex.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := (&JoinExec{Plan: p, Probe: &RMEngine{Tbl: f.fact, Sys: f.sys, Offload: true},
+		Builds: []Source{&RMEngine{Tbl: f.dim, Sys: f.sys}}}).Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := referenceJoin(p, materialize(f.fact), dimRows)
+	if err := again.EquivalentTo(fresh, 0); err != nil {
+		t.Errorf("re-execution disagrees with a fresh executor: %v", err)
+	}
+	if err := again.EquivalentTo(ref, 1e-9); err != nil {
+		t.Errorf("re-execution disagrees with the reference: %v", err)
 	}
 }
 
@@ -208,8 +473,8 @@ func TestJoinExecSpanReconciliation(t *testing.T) {
 	tr := obs.NewTracer("join")
 	ex := &JoinExec{
 		Plan:   p,
-		Probe:  &RowEngine{Tbl: f.fact, Sys: f.sys, Tracer: tr, ForceScalar: true},
-		Builds: []Source{&RowEngine{Tbl: f.dim, Sys: f.sys, Tracer: tr, ForceScalar: true}},
+		Probe:  &RowEngine{Tbl: f.fact, Sys: f.sys, Tracer: tr},
+		Builds: []Source{&RowEngine{Tbl: f.dim, Sys: f.sys, Tracer: tr}},
 	}
 	res, err := ex.Execute()
 	if err != nil {
@@ -227,8 +492,8 @@ func TestParallelJoinExecMatchesSerial(t *testing.T) {
 	f.sys.ResetState()
 	serial := &JoinExec{
 		Plan:   p,
-		Probe:  &RMEngine{Tbl: f.fact, Sys: f.sys, ForceScalar: true},
-		Builds: []Source{&RMEngine{Tbl: f.dim, Sys: f.sys, ForceScalar: true}},
+		Probe:  &RMEngine{Tbl: f.fact, Sys: f.sys},
+		Builds: []Source{&RMEngine{Tbl: f.dim, Sys: f.sys}},
 	}
 	want, err := serial.Execute()
 	if err != nil {
@@ -243,7 +508,7 @@ func TestParallelJoinExecMatchesSerial(t *testing.T) {
 			ProbeTbl: f.fact,
 			Sys:      f.sys,
 			Par:      ParallelConfig{Workers: workers, MorselRows: 512},
-			Builds:   []Source{&RMEngine{Tbl: f.dim, Sys: f.sys, Tracer: tr, ForceScalar: true}},
+			Builds:   []Source{&RMEngine{Tbl: f.dim, Sys: f.sys, Tracer: tr}},
 			Tracer:   tr,
 		}
 		got, err := par.Execute()
@@ -268,7 +533,7 @@ func TestParallelJoinExecMatchesSerial(t *testing.T) {
 		f.sys.ResetState()
 		r, err := (&ParallelJoinExec{Plan: p, ProbeTbl: f.fact, Sys: f.sys,
 			Par:    ParallelConfig{Workers: 4, MorselRows: 512},
-			Builds: []Source{&RMEngine{Tbl: f.dim, Sys: f.sys, ForceScalar: true}}}).Execute()
+			Builds: []Source{&RMEngine{Tbl: f.dim, Sys: f.sys}}}).Execute()
 		if err != nil {
 			t.Fatal(err)
 		}

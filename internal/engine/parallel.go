@@ -134,6 +134,7 @@ func (e *ParallelEngine) Execute(q Query) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := &scanScratch{}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= numMorsels {
@@ -143,7 +144,7 @@ func (e *ParallelEngine) Execute(q Query) (*Result, error) {
 				if tracers != nil {
 					tr = tracers[i]
 				}
-				parts[i], errs[i] = e.runMorsel(q, i, par.MorselRows, rows, tr)
+				parts[i], errs[i] = e.runMorsel(q, sc, i, par.MorselRows, rows, tr)
 			}
 		}()
 	}
@@ -200,8 +201,9 @@ func (e *ParallelEngine) Execute(q Query) (*Result, error) {
 // (not per worker) keeps the partial independent of which worker ran it and
 // how many morsels that worker had already run, which the determinism
 // guarantee needs: arena allocations for delivery windows would otherwise
-// drift with scheduling.
-func (e *ParallelEngine) runMorsel(q Query, i, morselRows, totalRows int, tr *obs.Tracer) (*Result, error) {
+// drift with scheduling. sc, the worker's batch workspace, holds no state
+// between morsels.
+func (e *ParallelEngine) runMorsel(q Query, sc *scanScratch, i, morselRows, totalRows int, tr *obs.Tracer) (*Result, error) {
 	lo := i * morselRows
 	hi := lo + morselRows
 	if hi > totalRows {
@@ -218,7 +220,8 @@ func (e *ParallelEngine) runMorsel(q Query, i, morselRows, totalRows int, tr *ob
 	if err != nil {
 		return nil, err
 	}
-	eng := &RMEngine{Tbl: slice, Sys: sys, PushSelection: e.PushSelection, PushAggregation: e.PushAggregation, Tracer: tr, ForceScalar: e.ForceScalar}
+	eng := &RMEngine{Tbl: slice, Sys: sys, PushSelection: e.PushSelection, PushAggregation: e.PushAggregation, Tracer: tr, ForceScalar: e.ForceScalar,
+		scratch: sc}
 	return eng.Execute(q)
 }
 

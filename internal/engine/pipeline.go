@@ -291,4 +291,3 @@ func colBitmapSelect(pr *pipeRun, sys *System, store *colstore.Store, sch *geome
 	}
 	return sel
 }
-

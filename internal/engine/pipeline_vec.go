@@ -11,12 +11,12 @@ import (
 // The batch executor: the vectorized twin of runScalar in pipeline.go.
 // It processes vecBatchRows rows per iteration in four stages — visibility,
 // bulk decode, selection refinement, charge replay — then consumes the
-// survivors through typed kernels. The charge-replay stage issues the exact
-// Hier.Load sequence and compute charges of the scalar interpreter (the
-// per-row short-circuit outcome decided by the recorded fail depth selects
-// a precompiled load program), so modeled cycles, Breakdown, spans, and
-// timelines are byte-identical; only wall-clock time and allocations
-// change. Like the scalar pipeline it is written once and parameterized by
+// survivors through typed kernels, or hands them to a join side's sink.
+// The charge-replay stage issues the exact Hier.Load sequence and compute
+// charges of the scalar interpreter (the per-row short-circuit outcome
+// decided by the recorded fail depth selects a precompiled load program),
+// so modeled cycles, Breakdown, spans, and timelines are byte-identical;
+// only wall-clock time and allocations change. Like the scalar pipeline it is written once and parameterized by
 // the opened scan: ROW feeds it one strided segment (with MVCC replay and
 // per-row ticks), RM feeds it fabric chunks with pipeline accounting. COL's
 // decomposed layout has its own driver, runColVec, below.
@@ -76,6 +76,14 @@ func (s *scan) runVec(q Query) (*Result, error) {
 			}
 			sel = sc.refine(prog, seg.data, byteBase, seg.stride, n, sel)
 
+			// A sink takes the survivors before replay, since a join side's
+			// pass outcome and charge per row depend on what it matched.
+			var outcome []int16
+			var extra []uint64
+			if s.vsink != nil {
+				outcome, extra = s.vsink(vecBatch{prog: prog, sc: sc, src: seg.data, base: byteBase, stride: seg.stride, sel: sel})
+			}
+
 			// Charge replay, row-major like the scalar loop: tick, iterator
 			// overhead, MVCC header touch, then the outcome's load program.
 			fail := sc.fail[:n]
@@ -98,6 +106,9 @@ func (s *scan) runVec(q Query) (*Result, error) {
 				idx := last
 				if fail[i] >= 0 {
 					idx = int(fail[i])
+				} else if outcome != nil {
+					idx += int(outcome[i])
+					pr.compute += extra[i]
 				}
 				payloadAddr := rowAddr + int64(seg.payloadOff)
 				for _, off := range prog.loadOffs[idx] {
@@ -108,7 +119,9 @@ func (s *scan) runVec(q Query) (*Result, error) {
 			}
 
 			passed += int64(len(sel))
-			sc.consume(prog, seg.data, byteBase, seg.stride, sel, &checksum, aggs, groups)
+			if s.vsink == nil {
+				sc.consume(prog, seg.data, byteBase, seg.stride, sel, &checksum, aggs, groups)
+			}
 		}
 
 		if s.pipelined {

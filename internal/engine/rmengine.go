@@ -271,21 +271,10 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 	}
 
 	if !e.ForceScalar {
-		offFor := func(col int) int {
-			for i, c := range geom.Columns() {
-				if c == col {
-					return geom.PackedOffset(i)
-				}
-			}
-			panic(fmt.Sprintf("engine: column %d not in RM geometry", col))
+		if e.scratch == nil {
+			e.scratch = &scanScratch{}
 		}
-		if prog, ok := compileScanProg(q, sch, cpuSel, nil, offFor, rmVecCharges); ok {
-			s.prog = prog
-			if e.scratch == nil {
-				e.scratch = &scanScratch{}
-			}
-			s.scratch = e.scratch
-		}
+		s.scratch, s.vecOffs, s.vecCh = e.scratch, offs, rmVecCharges
 	}
 	return s, nil
 }

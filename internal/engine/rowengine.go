@@ -101,13 +101,10 @@ func (e *RowEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 	}
 
 	if !e.ForceScalar && rows <= vecRowLimit {
-		if prog, ok := compileScanProg(q, sch, q.Selection, nil, sch.Offset, rowVecCharges); ok {
-			s.prog = prog
-			if e.scratch == nil {
-				e.scratch = &scanScratch{}
-			}
-			s.scratch = e.scratch
+		if e.scratch == nil {
+			e.scratch = &scanScratch{}
 		}
+		s.scratch, s.vecOffs, s.vecCh = e.scratch, colOff, rowVecCharges
 	}
 	return s, nil
 }

@@ -20,9 +20,11 @@ import (
 // The contract a source's openScan must honor:
 //
 //   - validate the query against its schema and fail without charging;
-//   - do all cost-free setup (fabric configuration, vectorized program
-//     compilation) before returning — the pipeline captures the hardware
-//     counters only after open succeeds;
+//   - do all cost-free setup (fabric configuration) before returning — the
+//     pipeline captures the hardware counters only after open succeeds;
+//   - offer the batch path, where the layout has one, by setting the scan's
+//     scratch, vecOffs and vecCh; the pipeline compiles the batch program
+//     from them (a scan's in Run, a join side's in runSink);
 //   - describe every modeled charge declaratively: perRow / predCycles /
 //     fetchCycles constants, the segment iterator, the colAt addressing
 //     function, and (for work that must run inside the measured window,
@@ -54,6 +56,9 @@ func Run(src Source, q Query) (*Result, error) {
 	s.sys = sys
 	s.tracer = tr
 	s.sp = sp
+	if s.scratch != nil {
+		s.prog, _ = compileScanProg(q, s.sch, s.cpuSel, s.visit, s.vecOffs, s.vecCh)
+	}
 	return s.run(q)
 }
 
@@ -108,11 +113,16 @@ type scan struct {
 	// its own accounting (it still runs inside the measured window).
 	direct func() (*Result, error)
 
-	// prog, when non-nil, routes execution to the batch path. colStore
-	// marks the decomposed-layout variant (bitmap selection passes over
-	// dense column arrays instead of strided decode).
-	prog    *scanProg
+	// scratch, when non-nil, offers the batch path: vecOffs holds each
+	// column's byte offset within the addressing unit and vecCh the
+	// per-touch charges the replay reproduces. prog, the program compiled
+	// from them, routes execution to the batch path when non-nil; a source
+	// offering it still fills the scalar fields below, which run the query
+	// shapes (and join sides) the batch path does not take.
 	scratch *scanScratch
+	vecOffs []int
+	vecCh   vecCharges
+	prog    *scanProg
 
 	// Per-touch charge constants (the source's cost model).
 	perRow      uint64 // charged per visited row (volcano iterator overhead)
@@ -154,13 +164,15 @@ type scan struct {
 	// driver's view of the column store (COL only).
 	colVec *colVecLayout
 
-	// sink, when non-nil, replaces the consumer: every qualifying row is
+	// sink (scalar pipeline) or vsink (batch pipeline), when non-nil,
+	// replaces the consumer: every qualifying row or batch of survivors is
 	// handed to it instead of being folded into a Result. The join executor
-	// streams each side through the scalar pipeline this way, so every
-	// build/probe byte still flows through Hier.Load and the side's span
-	// and breakdown reconcile like any other scan. Sink scans report
-	// RowsPassed (rows delivered) but no checksum/aggregates.
-	sink func(pr *pipeRun, fetch func(col int) table.Value)
+	// streams each side this way, so every build/probe byte still flows
+	// through Hier.Load and the side's span and breakdown reconcile like
+	// any other scan. Sink scans report RowsPassed (rows delivered) but no
+	// checksum/aggregates.
+	sink  func(pr *pipeRun, fetch func(col int) table.Value)
+	vsink vecSink
 }
 
 // offloadProgram converts a query's aggregation shape into a fabric operator

@@ -78,8 +78,9 @@ type scanProg struct {
 	preds []vecPred
 
 	// loadSlots[d] / loadOffs[d] is the ordered first-touch load program of
-	// a row that fails at predicate d (d < len(preds)) or passes
-	// (d == len(preds)): slot indices and their byte offsets within the
+	// a row that fails at predicate d (d < len(preds)) or passes and takes
+	// pass outcome d-len(preds) (a scan has one; a join side's sink may
+	// have several): slot indices and their byte offsets within the
 	// addressing unit. charge[d] is the matching constant compute charge
 	// (predicate evals + column fetches + consumption for the pass case).
 	loadSlots [][]int32
@@ -99,68 +100,49 @@ type scanProg struct {
 	evalDepth  int // scratch lanes needed by derived scalar evaluation
 }
 
-// compileScanProg builds the batch plan for a query over sch, with sel as
-// the predicates the CPU evaluates (empty when pushed down) and offFor
-// giving each column's byte offset within the scan's addressing unit.
-// consumeVisit, when non-nil, overrides the pass outcome's column visit
-// order (the COL engine explicitly touches every consumed column before
-// consuming; ROW and RM touch lazily in consumption order). ok is false
-// when the query shape must stay on the scalar path (a scalar expression
-// form the lane evaluator does not know).
-func compileScanProg(q Query, sch *geometry.Schema, sel expr.Conjunction, consumeVisit []int, offFor func(col int) int, ch vecCharges) (*scanProg, bool) {
-	p := &scanProg{perRow: ch.perRow}
+// vecBatch is one decoded batch as a sink sees it: the program and the
+// scratch lanes it decoded, the batch's source bytes (CHAR columns are read
+// in place at base + slot offset + row*stride), and the surviving batch
+// rows.
+type vecBatch struct {
+	prog   *scanProg
+	sc     *scanScratch
+	src    []byte
+	base   int
+	stride int
+	sel    []int32
+}
 
-	slotOf := make(map[int]int, sch.NumColumns())
-	addSlot := func(col int) int {
-		if si, ok := slotOf[col]; ok {
-			return si
-		}
-		c := sch.Column(col)
-		s := vecSlot{col: col, off: int64(offFor(col)), width: c.Width, lane: -1}
-		switch c.Type {
-		case geometry.Int64:
-			s.kind = slotI64
-			s.lane = p.nI64
-			p.nI64++
-		case geometry.Int32, geometry.Date:
-			s.kind = slotI32
-			s.lane = p.nI64
-			p.nI64++
-		case geometry.Float64:
-			s.kind = slotF64
-			s.lane = p.nF64
-			p.nF64++
-		case geometry.Char:
-			s.kind = slotChar
-		}
-		slotOf[col] = len(p.slots)
-		p.slots = append(p.slots, s)
-		return len(p.slots) - 1
-	}
+// vecSink consumes each batch's survivors in place of the scan's consumer
+// (the join sides). It runs before charge replay and returns, per batch
+// row, the pass outcome taken (counted past the predicate outcomes) and a
+// variable compute charge; nil slices mean outcome 0 and no extra charge.
+type vecSink func(b vecBatch) (outcome []int16, extra []uint64)
 
-	// Predicates, with the per-fail-depth load programs built as the scalar
-	// short-circuit would first-touch columns.
-	touched := make(map[int]bool, sch.NumColumns())
-	var slotsSeq []int32
-	touch := func(col int) {
-		if !touched[col] {
-			touched[col] = true
-			slotsSeq = append(slotsSeq, int32(addSlot(col)))
-		}
-	}
-	snap := func() ([]int32, []int64) {
-		s := append([]int32(nil), slotsSeq...)
-		offs := make([]int64, len(s))
-		for i, si := range s {
-			offs[i] = p.slots[si].off
-		}
-		return s, offs
-	}
+// progBuilder assembles a scanProg: slots in first-touch order, and one
+// outcome per way a row can leave the scalar loop, each the ordered list of
+// columns the row first-touched by then and its constant compute charge.
+type progBuilder struct {
+	p       *scanProg
+	sch     *geometry.Schema
+	offs    []int
+	ch      vecCharges
+	slotOf  []int // slot+1 per column, 0 before its first use
+	touched []bool
+	seq     []int32
+}
+
+// newProgBuilder starts a program over sch whose CPU predicates are sel:
+// one fail outcome per predicate, built as the scalar short-circuit would
+// first-touch columns.
+func newProgBuilder(sch *geometry.Schema, sel expr.Conjunction, offs []int, ch vecCharges) progBuilder {
+	b := progBuilder{p: &scanProg{perRow: ch.perRow}, sch: sch, offs: offs, ch: ch,
+		slotOf: make([]int, sch.NumColumns()), touched: make([]bool, sch.NumColumns())}
 	for d, pr := range sel {
-		touch(pr.Col)
-		si := slotOf[pr.Col]
+		b.touch(pr.Col)
+		si := b.slot(pr.Col)
 		vp := vecPred{slot: si, op: pr.Op}
-		switch p.slots[si].kind {
+		switch b.p.slots[si].kind {
 		case slotI64, slotI32:
 			vp.opI = pr.Operand.Int
 		case slotF64:
@@ -168,33 +150,95 @@ func compileScanProg(q Query, sch *geometry.Schema, sel expr.Conjunction, consum
 		case slotChar:
 			vp.opB = vec.TrimPad(pr.Operand.Bytes)
 		}
-		p.preds = append(p.preds, vp)
-		ls, lo := snap()
-		p.loadSlots = append(p.loadSlots, ls)
-		p.loadOffs = append(p.loadOffs, lo)
-		p.charge = append(p.charge, uint64(d+1)*ch.predEval+uint64(len(ls))*ch.fetch)
+		b.p.preds = append(b.p.preds, vp)
+		b.outcome(d+1, 0)
 	}
+	return b
+}
+
+// slot returns col's slot, adding it (with a typed lane) on first use.
+func (b *progBuilder) slot(col int) int {
+	if si := b.slotOf[col]; si > 0 {
+		return si - 1
+	}
+	p := b.p
+	c := b.sch.Column(col)
+	s := vecSlot{col: col, off: int64(b.offs[col]), width: c.Width, lane: -1}
+	switch c.Type {
+	case geometry.Int64:
+		s.kind = slotI64
+		s.lane = p.nI64
+		p.nI64++
+	case geometry.Int32, geometry.Date:
+		s.kind = slotI32
+		s.lane = p.nI64
+		p.nI64++
+	case geometry.Float64:
+		s.kind = slotF64
+		s.lane = p.nF64
+		p.nF64++
+	case geometry.Char:
+		s.kind = slotChar
+	}
+	b.slotOf[col] = len(p.slots) + 1
+	p.slots = append(p.slots, s)
+	return len(p.slots) - 1
+}
+
+// touch records col's first touch in the row.
+func (b *progBuilder) touch(col int) {
+	if !b.touched[col] {
+		b.touched[col] = true
+		b.seq = append(b.seq, int32(b.slot(col)))
+	}
+}
+
+// outcome closes one outcome over the columns touched so far: evals
+// predicate evaluations, one fetch per touched column, plus charge.
+func (b *progBuilder) outcome(evals int, charge uint64) {
+	p := b.p
+	ls := append([]int32(nil), b.seq...)
+	offs := make([]int64, len(ls))
+	for i, si := range ls {
+		offs[i] = p.slots[si].off
+	}
+	p.loadSlots = append(p.loadSlots, ls)
+	p.loadOffs = append(p.loadOffs, offs)
+	p.charge = append(p.charge, uint64(evals)*b.ch.predEval+uint64(len(ls))*b.ch.fetch+charge)
+}
+
+// compileScanProg builds the batch plan for a query over sch, with sel as
+// the predicates the CPU evaluates (empty when pushed down) and offs
+// holding each column's byte offset within the scan's addressing unit.
+// consumeVisit, when non-nil, overrides the pass outcome's column visit
+// order (the COL engine explicitly touches every consumed column before
+// consuming; ROW and RM touch lazily in consumption order). ok is false
+// when the query shape must stay on the scalar path (a scalar expression
+// form the lane evaluator does not know).
+func compileScanProg(q Query, sch *geometry.Schema, sel expr.Conjunction, consumeVisit []int, offs []int, ch vecCharges) (*scanProg, bool) {
+	b := newProgBuilder(sch, sel, offs, ch)
+	p := b.p
 
 	// Pass outcome: consumed columns in scalar visit order, then the
 	// consumption charge. An explicit visit list (COL) touches everything
 	// up front; the shape loops below then find their columns pre-touched.
 	for _, col := range consumeVisit {
-		touch(col)
+		b.touch(col)
 	}
 	var consumeCharge uint64
 	if len(q.Aggregates) == 0 {
 		for _, col := range q.Projection {
-			touch(col)
+			b.touch(col)
 			p.projCols = append(p.projCols, col)
-			p.projSlot = append(p.projSlot, int32(slotOf[col]))
+			p.projSlot = append(p.projSlot, int32(b.slot(col)))
 			consumeCharge += ChecksumCycles
 		}
 	} else {
 		// Grouped rows touch their key columns first, then pay the hash
 		// probe, exactly like the scalar consumer.
 		for _, col := range q.GroupBy {
-			touch(col)
-			p.groupSlots = append(p.groupSlots, int32(slotOf[col]))
+			b.touch(col)
+			p.groupSlots = append(p.groupSlots, int32(b.slot(col)))
 		}
 		if len(q.GroupBy) > 0 {
 			consumeCharge += HashGroupCycles
@@ -205,10 +249,10 @@ func compileScanProg(q Query, sch *geometry.Schema, sel expr.Conjunction, consum
 			if t.Arg != nil {
 				consumeCharge += uint64(t.Arg.Ops() * ScalarOpCycles)
 				for _, col := range t.Arg.Columns() {
-					touch(col)
+					b.touch(col)
 				}
 				if ref, ok := t.Arg.(expr.ColRef); ok {
-					a.simple = slotOf[ref.Col]
+					a.simple = b.slot(ref.Col)
 				} else {
 					d, ok := scalarDepth(t.Arg)
 					if !ok {
@@ -222,12 +266,33 @@ func compileScanProg(q Query, sch *geometry.Schema, sel expr.Conjunction, consum
 			p.aggs = append(p.aggs, a)
 		}
 	}
-	ls, lo := snap()
-	p.loadSlots = append(p.loadSlots, ls)
-	p.loadOffs = append(p.loadOffs, lo)
-	p.charge = append(p.charge,
-		uint64(len(sel))*ch.predEval+uint64(len(ls))*ch.fetch+consumeCharge)
+	b.outcome(len(sel), consumeCharge)
 	return p, true
+}
+
+// sinkShape describes a join side's pass outcomes in place of a query's
+// consumption shape: pass outcome j first-touches cols[0], …, cols[j] in
+// order and charges charge[j] beyond its predicate evaluations and column
+// fetches. A build side has one outcome (its projection, HashBuildCycles);
+// a probe side has one per stage depth a row can reach.
+type sinkShape struct {
+	cols   [][]int
+	charge []uint64
+}
+
+// compileSinkProg builds the batch plan of a join side: the predicate
+// outcomes of compileScanProg, then one pass outcome per sinkShape entry.
+// The sink consumes the survivors itself, so the program carries no
+// consumption shape.
+func compileSinkProg(sch *geometry.Schema, sel expr.Conjunction, shape *sinkShape, offs []int, ch vecCharges) *scanProg {
+	b := newProgBuilder(sch, sel, offs, ch)
+	for j, cols := range shape.cols {
+		for _, col := range cols {
+			b.touch(col)
+		}
+		b.outcome(len(sel), shape.charge[j])
+	}
+	return b.p
 }
 
 // scalarDepth returns the scratch-lane depth a scalar tree needs, and

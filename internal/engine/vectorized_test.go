@@ -339,7 +339,11 @@ func TestVectorizedGroupedMatchesScalarExactly(t *testing.T) {
 			if err := q.Validate(sch); err != nil {
 				t.Fatalf("generated query invalid: %v", err)
 			}
-			if _, ok := compileScanProg(q, sch, q.Selection, nil, sch.Offset, rowVecCharges); !ok {
+			offs := make([]int, sch.NumColumns())
+			for c := range offs {
+				offs[c] = sch.Offset(c)
+			}
+			if _, ok := compileScanProg(q, sch, q.Selection, nil, offs, rowVecCharges); !ok {
 				t.Fatalf("grouped query did not compile to the batch path: %+v", q)
 			}
 			fixture := func(wantStore bool) *vecFixture {

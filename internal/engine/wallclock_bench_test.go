@@ -197,9 +197,10 @@ func BenchmarkSequenceWarm(b *testing.B) {
 }
 
 // BenchmarkJoinQ3Wallclock measures the hash-join pipeline end to end: the
-// Q3-class lineitem ⋈ orders query lowered from SQL, executed serially and
-// under the morsel-parallel executor. Join sides always run scalar (the sink
-// path), so the variants here are the executors, not the kernels.
+// Q3-class lineitem ⋈ orders query lowered from SQL. scalar and vectorized
+// run it serially, with every side pinned to the scalar sinks or on the
+// batch sinks (build buffers, batch probe); parallel runs the batch probe
+// under the morsel-parallel executor.
 func BenchmarkJoinQ3Wallclock(b *testing.B) {
 	sys := engine.MustSystem(engine.DefaultSystemConfig())
 	li := benchLineitem(b, sys)
@@ -228,30 +229,35 @@ func BenchmarkJoinQ3Wallclock(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	builds := func() []engine.Source {
+	builds := func(forceScalar bool) []engine.Source {
 		out := make([]engine.Source, len(jp.Stages))
 		for i := range jp.Stages {
-			out[i] = &engine.RMEngine{Tbl: ord, Sys: sys, ForceScalar: true}
+			out[i] = &engine.RMEngine{Tbl: ord, Sys: sys, ForceScalar: forceScalar}
 		}
 		return out
 	}
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			sys.ResetState()
-			b.StartTimer()
-			ex := &engine.JoinExec{
-				Plan:   jp,
-				Probe:  &engine.RMEngine{Tbl: li, Sys: sys, ForceScalar: true},
-				Builds: builds(),
+	for _, mode := range []struct {
+		name        string
+		forceScalar bool
+	}{{"scalar", true}, {"vectorized", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sys.ResetState()
+				b.StartTimer()
+				ex := &engine.JoinExec{
+					Plan:   jp,
+					Probe:  &engine.RMEngine{Tbl: li, Sys: sys, ForceScalar: mode.forceScalar},
+					Builds: builds(mode.forceScalar),
+				}
+				if _, err := ex.Execute(); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if _, err := ex.Execute(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -264,7 +270,7 @@ func BenchmarkJoinQ3Wallclock(b *testing.B) {
 				ProbeTbl: li,
 				Sys:      sys,
 				Par:      engine.ParallelConfig{Workers: 8},
-				Builds:   builds(),
+				Builds:   builds(false),
 			}
 			if _, err := ex.Execute(); err != nil {
 				b.Fatal(err)
